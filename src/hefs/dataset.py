@@ -146,7 +146,7 @@ def load_csv(path: str | Path, label_column: str | int) -> Dataset:
     The label column is selected by header name first; if no header matches
     and the argument looks like an integer, it is taken as a 0-based column
     index. Labels may be arbitrary strings and are encoded as dense integers
-    in first-appearance order. All other cells must parse as floats.
+    in first-appearance order. All other cells must parse as finite floats.
     """
     p = Path(path)
     if not p.is_file():
@@ -182,6 +182,14 @@ def load_csv(path: str | Path, label_column: str | int) -> Dataset:
                     f"{p}: row {r}, column {header[c]!r}: cannot parse {cell.strip()!r} as a number"
                 ) from None
         feature_rows.append(vals)
+    features = np.asarray(feature_rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        i, j = bad[0]
+        c = [c for c in range(n_cols) if c != label_idx][j]
+        raise DatasetError(
+            f"{p}: data row {i + 1}, column {header[c]!r}: non-finite value {rows[i + 1][c].strip()!r}"
+        )
 
     label_values: list[str] = []
     code_of: dict[str, int] = {}
@@ -195,7 +203,7 @@ def load_csv(path: str | Path, label_column: str | int) -> Dataset:
         raise DatasetError(f"{p}: dataset has a single class {label_values[0]!r}")
 
     return Dataset(
-        features=np.asarray(feature_rows, dtype=np.float64),
+        features=features,
         labels=codes,
         feature_names=tuple(feature_names),
         label_values=tuple(label_values),

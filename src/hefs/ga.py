@@ -11,9 +11,7 @@ and conditional features. An elitist archive keeps the running Pareto front.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,7 +25,14 @@ from .dataset import (
     reduce_dataset,
     stratified_kfold,
 )
-from .metrics import cv_accuracy, equal_width_bins, _knn_from_d2, _mi_from_codes
+from .metrics import (
+    cv_accuracy,
+    equal_width_bins,
+    _add_sq_distances,
+    _knn_from_d2,
+    _mi_from_codes,
+    _sq_distances,
+)
 from .moo import FitnessPair, nondominated_sort, niche_select, pareto_solutions
 
 __all__ = [
@@ -249,13 +254,19 @@ def selective_activation_init(r: int, cfg: GAConfig, rng: np.random.Generator) -
     return population
 
 
+# per-feature, per-fold distance matrices are kept only while n * n * 8 * d
+# bytes stay within this many
+_D2_CACHE_BYTES = 256 * 1024 * 1024
+
+
 class FitnessEvaluator:
     """Scores genomes against one dataset; memoizes by bitmask.
 
-    Accuracy is cv_accuracy over conditional + helper columns. The
-    complementarity objective is 1 - mean/max over the mutual information of
-    every (helper, conditional) column pair; when every such MI is zero the
-    helpers share nothing with the conditional set and the score is 1.
+    Accuracy equals cv_accuracy over conditional + helper columns, bit for
+    bit. The complementarity objective is 1 - mean/max over the mutual
+    information of every (helper, conditional) column pair; when every such MI
+    is zero the helpers share nothing with the conditional set and the score
+    is 1.
     """
 
     def __init__(
@@ -264,21 +275,17 @@ class FitnessEvaluator:
         conditional: ConditionalSet,
         folds: FoldAssignment,
         cfg: GAConfig,
-        n_threads: int = 1,
     ):
         self.ds = ds
         self.conditional = conditional
         self.folds = folds
         self.cfg = cfg
-        self.n_threads = max(1, int(n_threads))
         self.residual = residual_feature_indices(ds.d, conditional)
         self._memo: dict[bytes, FitnessPair] = {}
         self._codes: dict[int, np.ndarray] = {}
         self._cross_mi: dict[int, np.ndarray] = {}
-        # per-feature, per-fold distance matrices, shared across evaluations;
-        # skipped when they would not fit comfortably in memory
         self._d2_cache: Optional[dict[int, list[np.ndarray]]] = (
-            {} if ds.n * ds.n * 8 * ds.d <= 256 * 1024 * 1024 else None
+            {} if ds.n * ds.n * 8 * ds.d <= _D2_CACHE_BYTES else None
         )
         self._fold_pairs = [
             (folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)
@@ -308,53 +315,82 @@ class FitnessEvaluator:
     def _feature_d2(self, j: int) -> list[np.ndarray]:
         mats = self._d2_cache.get(j)
         if mats is None:
-            col = self.ds.features[:, j]
-            mats = []
-            for test, train in self._fold_pairs:
-                diff = col[test, None] - col[None, train]
-                mats.append(diff * diff)
+            col = self.ds.features[:, j, None]
+            mats = [_sq_distances(col[test], col[train]) for test, train in self._fold_pairs]
             self._d2_cache[j] = mats
         return mats
 
-    def _accuracy(self, cols: Sequence[int]) -> float:
-        """cv_accuracy on the given columns, bit for bit, via cached distances."""
-        if self._d2_cache is None:
-            return cv_accuracy(self.ds, cols, self.folds, self.cfg.knn_k)
-        per_feature = [self._feature_d2(j) for j in cols]
-        fold_acc = np.empty(self.folds.n_folds)
+    def _add_distances(
+        self, out: np.ndarray, f: int, cols: Sequence[int], scratch: np.ndarray
+    ) -> None:
+        """Add the squared distances of the given columns on fold f to out, in order."""
+        if self._d2_cache is not None:
+            for j in cols:
+                out += self._feature_d2(j)[f]
+        else:
+            test, train = self._fold_pairs[f]
+            x = self.ds.features[:, cols]
+            _add_sq_distances(out, x[test], x[train], scratch)
+
+    def _accuracies(self, helper_sets: Sequence[Sequence[int]]) -> list[float]:
+        """cv_accuracy of conditional + each helper set, fold by fold.
+
+        Per fold, the conditional columns are summed once into a prefix; each
+        set then adds its helpers to a copy, so every distance is the same
+        float64 sum, in the same order from zero, that cv_accuracy forms.
+        """
+        labels, k = self.ds.labels, self.cfg.knn_k
+        fold_acc = np.empty((len(helper_sets), self.folds.n_folds))
+        # one allocation for the whole pass: buffers of slightly different
+        # shapes, allocated and freed fold by fold, fragment the heap and
+        # raise peak memory from one run to the next
+        size = max(test.size * train.size for test, train in self._fold_pairs)
+        buffers = np.empty((3, size))
         for f, (test, train) in enumerate(self._fold_pairs):
-            d2 = np.zeros((test.size, train.size))
-            for mats in per_feature:
-                d2 += mats[f]
-            preds, _ = _knn_from_d2(d2, self.ds.labels[train], self.cfg.knn_k, self.ds.n_classes)
-            fold_acc[f] = float(np.mean(preds == self.ds.labels[test]))
-        return float(fold_acc.mean())
+            shape = (test.size, train.size)
+            prefix, d2, scratch = (b[: test.size * train.size].reshape(shape) for b in buffers)
+            train_y, test_y = labels[train], labels[test]
+            prefix.fill(0.0)
+            self._add_distances(prefix, f, self.conditional.indices, scratch)
+            for g, helpers in enumerate(helper_sets):
+                np.copyto(d2, prefix)
+                self._add_distances(d2, f, helpers, scratch)
+                preds, _ = _knn_from_d2(d2, train_y, k, self.ds.n_classes)
+                fold_acc[g, f] = float(np.mean(preds == test_y))
+        return [float(row.mean()) for row in fold_acc]
 
     def _complementarity(self, helper_indices: Sequence[int]) -> float:
         values = np.concatenate([self._cross_mi_for(h) for h in helper_indices])
         return complementarity_score(values)
 
+    def _score(self, masks: dict[bytes, np.ndarray]) -> None:
+        """Memoize the fitness of every mask, keyed by its bytes, in one pass."""
+        if not masks:
+            return
+        helper_sets = [[self.residual[i] for i in np.flatnonzero(m)] for m in masks.values()]
+        for key, helpers, acc in zip(masks, helper_sets, self._accuracies(helper_sets)):
+            self._memo[key] = FitnessPair(
+                accuracy=acc, complementarity=self._complementarity(helpers)
+            )
+
     def evaluate(self, individual: Individual) -> FitnessPair:
         key = individual.mask.tobytes()
-        fitness = self._memo.get(key)
-        if fitness is None:
-            helpers = [self.residual[i] for i in np.flatnonzero(individual.mask)]
-            cols = evaluation_columns(self.conditional, helpers)
-            fitness = FitnessPair(
-                accuracy=self._accuracy(cols),
-                complementarity=self._complementarity(helpers),
-            )
-            self._memo[key] = fitness
+        if key not in self._memo:
+            self._score({key: individual.mask})
+        fitness = self._memo[key]
         individual.fitness = fitness
         return fitness
 
     def evaluate_population(self, population: Sequence[Individual]) -> None:
-        if self.n_threads > 1 and len(population) > 1:
-            with ThreadPoolExecutor(max_workers=self.n_threads) as pool:
-                list(pool.map(self.evaluate, population))
-        else:
-            for ind in population:
-                self.evaluate(ind)
+        """Score the population's unseen genomes together, then set every fitness."""
+        unseen: dict[bytes, np.ndarray] = {}
+        for ind in population:
+            key = ind.mask.tobytes()
+            if key not in self._memo:
+                unseen.setdefault(key, ind.mask)
+        self._score(unseen)
+        for ind in population:
+            self.evaluate(ind)
 
 
 def evaluate_individual(
@@ -497,16 +533,6 @@ def run_fold_assignment(ds: Dataset, cfg: GAConfig) -> FoldAssignment:
     return stratified_kfold(ds, cfg.n_folds, np.random.default_rng(fold_seed))
 
 
-def _resolve_threads(n_threads: Optional[int]) -> int:
-    if n_threads is not None:
-        return max(1, int(n_threads))
-    raw = os.environ.get("HEFS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _trace_record(generation: int, archive: Sequence[Individual]) -> GenerationRecord:
     return GenerationRecord(
         generation=generation,
@@ -521,19 +547,15 @@ def _front_of(population: Sequence[Individual]) -> list[Individual]:
     return [population[i] for i in idx]
 
 
-def hefs_run(
-    ds: Dataset,
-    conditional: ConditionalSet,
-    cfg: GAConfig,
-    n_threads: Optional[int] = None,
-) -> HelperResult:
+def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperResult:
     """Run the full helper-set search and return the best archived subset.
 
     The archive holds the running Pareto front; each generation's offspring
     are merged into it (or, with merge_initial_front, into the initial front
     only). With use_cluster_reduction the loop scores genomes on a
-    leader-clustered reduction of the dataset; the final winner is always
-    rescored on the full dataset.
+    leader-clustered reduction of the dataset and the final winner is
+    rescored on the full dataset; otherwise the loop's accuracies already are
+    full-dataset ones and pick the winner directly.
     """
     cfg.validate()
     started = time.perf_counter()
@@ -551,7 +573,7 @@ def hefs_run(
         folds_loop = stratified_kfold(ds_loop, cfg.n_folds, cluster_rng)
 
     rng = np.random.default_rng(ga_ss)
-    evaluator = FitnessEvaluator(ds_loop, conditional, folds_loop, cfg, _resolve_threads(n_threads))
+    evaluator = FitnessEvaluator(ds_loop, conditional, folds_loop, cfg)
 
     population = selective_activation_init(r, cfg, rng)
     evaluator.evaluate_population(population)
@@ -578,7 +600,12 @@ def hefs_run(
         population = offspring
         trace.append(_trace_record(generation, archive))
 
-    best_ind, best_acc = best_helper_set(archive, conditional, ds, folds_full, cfg)
+    if cfg.use_cluster_reduction:
+        best_ind, best_acc = best_helper_set(archive, conditional, ds, folds_full, cfg)
+    else:
+        # max keeps the first of any tie, as best_helper_set does
+        best_ind = max(archive, key=lambda ind: ind.fitness.accuracy)
+        best_acc = best_ind.fitness.accuracy
     helper_indices = tuple(residual[i] for i in np.flatnonzero(best_ind.mask))
     front_dump = tuple(
         (tuple(residual[i] for i in np.flatnonzero(ind.mask)), ind.fitness) for ind in archive

@@ -43,10 +43,19 @@ def _sq_distances(queries: np.ndarray, train: np.ndarray) -> np.ndarray:
     the same column order reproduce these values bit for bit.
     """
     out = np.zeros((queries.shape[0], train.shape[0]), dtype=np.float64)
-    for j in range(train.shape[1]):
-        diff = queries[:, j, None] - train[None, :, j]
-        out += diff * diff
+    _add_sq_distances(out, queries, train, np.empty_like(out))
     return out
+
+
+def _add_sq_distances(
+    out: np.ndarray, queries: np.ndarray, train: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Add each column's squared differences to out, one column at a time in
+    order; scratch is an out-shaped buffer the caller may reuse."""
+    for j in range(train.shape[1]):
+        np.subtract(queries[:, j, None], train[None, :, j], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        out += scratch
 
 
 def _knn_from_d2(
@@ -54,12 +63,19 @@ def _knn_from_d2(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vote from a precomputed squared-distance matrix; see _knn_batch."""
     k_eff = min(k, d2.shape[1])
-    kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1 : k_eff]
-    closer = d2 < kth
-    at_kth = d2 == kth
-    # rows may tie at the k-th distance; admit the lowest-index ones only
-    need = k_eff - closer.sum(axis=1, keepdims=True)
-    sel = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= need))
+    # a copy, so the partitioned matrix is freed at once
+    kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1 : k_eff].copy()
+    sel = d2 <= kth
+    # a query with more training rows at the k-th distance than free slots
+    # admits the lowest-index ones only; every other query already selects
+    # exactly k_eff rows
+    tied = np.flatnonzero(np.count_nonzero(sel, axis=1) > k_eff)
+    if tied.size:
+        rows, kth_t = d2[tied], kth[tied]
+        closer = rows < kth_t
+        at_kth = rows == kth_t
+        need = k_eff - closer.sum(axis=1, keepdims=True)
+        sel[tied] = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= need))
     nq = d2.shape[0]
     counts = np.empty((nq, n_classes), dtype=np.int64)
     for c in range(n_classes):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from hefs import ConditionalSet, Dataset, synth_xor_dataset, zscore_normalize
+from hefs import ConditionalSet, Dataset, FoldAssignment, synth_xor_dataset, zscore_normalize
 
 
 def make_dataset(features, labels, names=None, label_values=None) -> Dataset:
@@ -12,6 +13,29 @@ def make_dataset(features, labels, names=None, label_values=None) -> Dataset:
     if label_values is None:
         label_values = tuple(str(v) for v in range(int(labels.max()) + 1))
     return Dataset(features, labels, tuple(names), tuple(label_values))
+
+
+@st.composite
+def tie_heavy_datasets(draw):
+    """(dataset, folds) whose rows copy a few prototypes over small levels.
+
+    Exact distance ties and duplicate rows are everywhere; the level scale
+    makes some sums inexact, so a change in summation order would show. 2-4
+    classes, 2-4 folds of any class mix.
+    """
+    n_classes = draw(st.integers(2, 4))
+    n_folds = draw(st.integers(2, 4))
+    n = draw(st.integers(max(n_classes, n_folds), 24))
+    d = draw(st.integers(2, 6))
+    scale = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+    levels = st.integers(0, draw(st.integers(1, 3)))
+    protos = draw(st.lists(st.lists(levels, min_size=d, max_size=d), min_size=1, max_size=n))
+    rows = draw(st.lists(st.sampled_from(protos), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    labels[:n_classes] = range(n_classes)  # every class occurs
+    fold_of = draw(st.permutations([i % n_folds for i in range(n)]))
+    ds = make_dataset(np.array(rows) * scale, labels)
+    return ds, FoldAssignment(np.array(fold_of), n_folds)
 
 
 @pytest.fixture

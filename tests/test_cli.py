@@ -82,6 +82,15 @@ def test_cli_data_errors_exit_1(tmp_path, capsys):
     assert run(SMALL_SYNTH + ["--baseline", f"file:{tmp_path / 'no.txt'}"]) == 1
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_cli_non_finite_cell_names_file_row_and_column(tmp_path, capsys, cell):
+    data = tmp_path / "bad.csv"
+    data.write_text(f"a,b,y\n1,2,u\n3,{cell},v\n5,6,u\n")
+    assert run(["--dataset", str(data), "--label-col", "y"]) == 1
+    err = capsys.readouterr().err
+    assert f"{data}: data row 2, column 'b': non-finite value '{cell}'" in err
+
+
 # --- single-run reports ----------------------------------------------------------
 
 
@@ -137,13 +146,6 @@ def test_cli_reports_are_deterministic_and_roundtrip_stable(tmp_path, cond_file)
     from hefs.cli import _dump_json
 
     assert _dump_json(report_a) == path_a.read_text()
-
-
-def test_cli_respects_thread_env(tmp_path, cond_file, monkeypatch):
-    report_serial, _ = single_report(tmp_path, cond_file, "serial.json")
-    monkeypatch.setenv("HEFS_THREADS", "4")
-    report_threaded, _ = single_report(tmp_path, cond_file, "threaded.json")
-    assert report_canonical_bytes(report_serial) == report_canonical_bytes(report_threaded)
 
 
 def test_cli_variant_flags_are_echoed_in_config(tmp_path, cond_file):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hefs.ga
 from hefs import (
     ConditionalSet,
     ConfigError,
@@ -26,8 +29,9 @@ from hefs import (
     synth_xor_dataset,
     zscore_normalize,
 )
+from hefs.metrics import _sq_distances
 from hefs.moo import FitnessPair
-from conftest import make_dataset
+from conftest import make_dataset, tie_heavy_datasets
 
 
 def small_xor(seed=3, n=80, d=6):
@@ -239,17 +243,60 @@ def test_evaluator_distance_cache_is_bit_exact():
         assert fit.accuracy == cv_accuracy(ds, cols, folds, cfg.knn_k)
 
 
-def test_evaluator_threads_do_not_change_results():
-    ds = small_xor(seed=5)
-    cond = ConditionalSet((0,), "file")
-    cfg = GAConfig(**FAST)
-    folds = run_fold_assignment(ds, cfg)
-    pop = selective_activation_init(ds.d - 1, cfg, np.random.default_rng(2))
-    serial = [Individual(ind.mask.copy()) for ind in pop]
-    FitnessEvaluator(ds, cond, folds, cfg, n_threads=1).evaluate_population(serial)
-    threaded = [Individual(ind.mask.copy()) for ind in pop]
-    FitnessEvaluator(ds, cond, folds, cfg, n_threads=4).evaluate_population(threaded)
-    assert [i.fitness for i in serial] == [i.fitness for i in threaded]
+@st.composite
+def evaluation_cases(draw):
+    """A tie-heavy dataset, a conditional set, k up to n, and a batch of
+    helper masks holding a single-column mask and a repeated mask."""
+    ds, folds = draw(tie_heavy_datasets())
+    order = draw(st.permutations(range(ds.d)))
+    cond = ConditionalSet(tuple(order[: draw(st.integers(1, ds.d - 1))]), "file")
+    r = ds.d - cond.size
+    masks = draw(
+        st.lists(st.lists(st.booleans(), min_size=r, max_size=r).filter(any), min_size=1, max_size=4)
+    )
+    single = [False] * r
+    single[draw(st.integers(0, r - 1))] = True
+    masks = masks + [single, draw(st.sampled_from(masks))]
+    cfg = GAConfig(knn_k=draw(st.integers(1, ds.n)), n_folds=folds.n_folds)
+    return ds, cond, folds, cfg, [np.array(m) for m in masks]
+
+
+@pytest.mark.parametrize("cached", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(case=evaluation_cases())
+def test_batched_and_lone_evaluation_equal_cv_accuracy(cached, case):
+    ds, cond, folds, cfg, masks = case
+    residual = residual_feature_indices(ds.d, cond)
+    knn, voted = hefs.ga._knn_from_d2, []
+
+    def recording_knn(d2, *args):
+        voted.append(d2.tobytes())
+        return knn(d2, *args)
+
+    batch = [Individual(m.copy()) for m in masks]
+    with pytest.MonkeyPatch.context() as mp:
+        if not cached:
+            mp.setattr(hefs.ga, "_D2_CACHE_BYTES", 0)
+        mp.setattr(hefs.ga, "_knn_from_d2", recording_knn)
+        ev = FitnessEvaluator(ds, cond, folds, cfg)
+        assert (ev._d2_cache is not None) == cached
+        ev.evaluate_population(batch)
+        batch_votes = len(voted)
+        lone = [FitnessEvaluator(ds, cond, folds, cfg).evaluate(Individual(m.copy())) for m in masks]
+
+    expected = set()
+    for ind, alone in zip(batch, lone):
+        cols = evaluation_columns(cond, [residual[i] for i in np.flatnonzero(ind.mask)])
+        x = ds.features[:, cols]
+        for f in range(folds.n_folds):
+            test, train = folds.test_indices(f), folds.train_indices(f)
+            expected.add(_sq_distances(x[test], x[train]).tobytes())
+        assert ind.fitness.accuracy == cv_accuracy(ds, cols, folds, cfg.knn_k)
+        assert alone == ind.fitness
+    # a repeated mask is scored once per batch, and every distance matrix
+    # voted on is the one cv_accuracy forms, bit for bit
+    assert batch_votes == len({m.tobytes() for m in masks}) * folds.n_folds
+    assert set(voted) == expected
 
 
 def test_evaluate_individual_one_shot_matches_shared_evaluator():
@@ -531,18 +578,6 @@ def test_hefs_run_is_deterministic_per_seed():
     assert _payload_without_time(a) == _payload_without_time(b)
     c = hefs_run(ds, ConditionalSet((0,), "file"), GAConfig(pop_size=6, generations=6, seed=12))
     assert _payload_without_time(a) != _payload_without_time(c) or a.helper_indices == c.helper_indices
-
-
-def test_hefs_run_threading_matches_serial(monkeypatch):
-    ds = small_xor(seed=4)
-    cfg = GAConfig(pop_size=6, generations=5, seed=7)
-    cond = ConditionalSet((0,), "file")
-    serial = hefs_run(ds, cond, cfg, n_threads=1)
-    threaded = hefs_run(ds, cond, cfg, n_threads=3)
-    assert _payload_without_time(serial) == _payload_without_time(threaded)
-    monkeypatch.setenv("HEFS_THREADS", "2")
-    via_env = hefs_run(ds, cond, cfg)
-    assert _payload_without_time(serial) == _payload_without_time(via_env)
 
 
 def test_hefs_run_perfect_conditional_scores_one(perfect_ds):

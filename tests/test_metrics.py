@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hefs import (
@@ -18,7 +18,7 @@ from hefs import (
     synth_xor_dataset,
     zscore_normalize,
 )
-from conftest import make_dataset
+from conftest import make_dataset, tie_heavy_datasets
 
 
 # --- reference implementations used as oracles ------------------------------
@@ -165,6 +165,17 @@ def test_cv_accuracy_matches_oracle_exactly():
             got = cv_accuracy(ds, cols, folds, k=5)
             _, _, want = oracle_fold_scores(ds, np.asarray(cols), folds, 5)
             assert got == want, (trial, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tie_heavy_datasets(), k=st.integers(1, 30), n_cols=st.integers(1, 6))
+def test_cv_accuracy_matches_oracle_on_tie_heavy_folds(case, k, n_cols):
+    # many query rows per fold, some tied at the k-th distance and some not;
+    # k may reach past the training fold
+    ds, folds = case
+    cols = np.arange(min(n_cols, ds.d))
+    _, _, want = oracle_fold_scores(ds, cols, folds, k)
+    assert cv_accuracy(ds, cols, folds, k) == want
 
 
 def test_cv_accuracy_perfect_feature_is_exactly_one(perfect_ds):
