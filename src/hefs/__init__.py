@@ -25,7 +25,6 @@ from .ga import (
     best_helper_set,
     biased_ratio,
     complementarity_score,
-    evaluate_individual,
     evaluation_columns,
     hefs_run,
     ratio_guided_mutation,
@@ -40,7 +39,6 @@ from .metrics import (
     cv_accuracy,
     equal_width_bins,
     full_metrics,
-    knn_predict,
     mutual_information,
 )
 from .moo import (

@@ -148,6 +148,8 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, dict]:
 
 
 def _build_conditional(args: argparse.Namespace, ds: Dataset) -> ConditionalSet:
+    if args.baseline in ("mi", "ttest") and args.cond_size > ds.d:
+        raise ConfigError(f"--cond-size {args.cond_size} exceeds the dataset's d={ds.d} features")
     if args.baseline == "mi":
         return mi_rank_select(ds, args.cond_size, args.bins)
     if args.baseline == "ttest":
@@ -356,3 +358,7 @@ def _aggregate_csv(summary: dict) -> str:
         entry = summary["metrics"][name]
         writer.writerow([name, f"{entry['mean']:.12g}", f"{entry['std']:.12g}"])
     return buf.getvalue()
+
+
+if __name__ == "__main__":
+    main()

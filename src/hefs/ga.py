@@ -20,6 +20,7 @@ import numpy as np
 from .baselines import ConditionalSet
 from .dataset import (
     Dataset,
+    DatasetError,
     FoldAssignment,
     leader_cluster,
     reduce_dataset,
@@ -28,8 +29,8 @@ from .dataset import (
 from .metrics import (
     cv_accuracy,
     equal_width_bins,
-    _add_sq_distances,
-    _knn_from_d2,
+    _fold_votes,
+    _knn_from_d2,  # unused here; bench/tracing.py patches it under this module
     _mi_from_codes,
     _sq_distances,
 )
@@ -45,7 +46,6 @@ __all__ = [
     "complementarity_score",
     "selective_activation_init",
     "FitnessEvaluator",
-    "evaluate_individual",
     "selection",
     "single_point_crossover",
     "ratio_guided_mutation",
@@ -262,11 +262,12 @@ _D2_CACHE_BYTES = 256 * 1024 * 1024
 class FitnessEvaluator:
     """Scores genomes against one dataset; memoizes by bitmask.
 
-    Accuracy equals cv_accuracy over conditional + helper columns, bit for
-    bit. The complementarity objective is 1 - mean/max over the mutual
-    information of every (helper, conditional) column pair; when every such MI
-    is zero the helpers share nothing with the conditional set and the score
-    is 1.
+    Accuracy is cv_accuracy over conditional + helper columns: both vote
+    through metrics._fold_votes, which sums the same distances in the same
+    order whether a column comes from the per-feature cache or not. The
+    complementarity objective is 1 - mean/max over the mutual information of
+    every (helper, conditional) column pair; when every such MI is zero the
+    helpers share nothing with the conditional set and the score is 1.
     """
 
     def __init__(
@@ -320,42 +321,25 @@ class FitnessEvaluator:
             self._d2_cache[j] = mats
         return mats
 
-    def _add_distances(
+    def _add_cached_distances(
         self, out: np.ndarray, f: int, cols: Sequence[int], scratch: np.ndarray
     ) -> None:
-        """Add the squared distances of the given columns on fold f to out, in order."""
-        if self._d2_cache is not None:
-            for j in cols:
-                out += self._feature_d2(j)[f]
-        else:
-            test, train = self._fold_pairs[f]
-            x = self.ds.features[:, cols]
-            _add_sq_distances(out, x[test], x[train], scratch)
+        """Add the cached squared distances of the given columns on fold f to out, in order."""
+        for j in cols:
+            out += self._feature_d2(j)[f]
 
     def _accuracies(self, helper_sets: Sequence[Sequence[int]]) -> list[float]:
-        """cv_accuracy of conditional + each helper set, fold by fold.
-
-        Per fold, the conditional columns are summed once into a prefix; each
-        set then adds its helpers to a copy, so every distance is the same
-        float64 sum, in the same order from zero, that cv_accuracy forms.
-        """
-        labels, k = self.ds.labels, self.cfg.knn_k
+        """cv_accuracy of conditional + each helper set, all sets in one pass
+        per fold."""
+        labels = self.ds.labels
+        add = self._add_cached_distances if self._d2_cache is not None else None
+        votes = _fold_votes(
+            self.ds, self.folds, self.cfg.knn_k, self.conditional.indices, helper_sets, add
+        )
         fold_acc = np.empty((len(helper_sets), self.folds.n_folds))
-        # one allocation for the whole pass: buffers of slightly different
-        # shapes, allocated and freed fold by fold, fragment the heap and
-        # raise peak memory from one run to the next
-        size = max(test.size * train.size for test, train in self._fold_pairs)
-        buffers = np.empty((3, size))
-        for f, (test, train) in enumerate(self._fold_pairs):
-            shape = (test.size, train.size)
-            prefix, d2, scratch = (b[: test.size * train.size].reshape(shape) for b in buffers)
-            train_y, test_y = labels[train], labels[test]
-            prefix.fill(0.0)
-            self._add_distances(prefix, f, self.conditional.indices, scratch)
-            for g, helpers in enumerate(helper_sets):
-                np.copyto(d2, prefix)
-                self._add_distances(d2, f, helpers, scratch)
-                preds, _ = _knn_from_d2(d2, train_y, k, self.ds.n_classes)
+        for f, (test, fold_votes) in enumerate(votes):
+            test_y = labels[test]
+            for g, (preds, _) in enumerate(fold_votes):
                 fold_acc[g, f] = float(np.mean(preds == test_y))
         return [float(row.mean()) for row in fold_acc]
 
@@ -391,17 +375,6 @@ class FitnessEvaluator:
         self._score(unseen)
         for ind in population:
             self.evaluate(ind)
-
-
-def evaluate_individual(
-    individual: Individual,
-    conditional: ConditionalSet,
-    ds: Dataset,
-    folds: FoldAssignment,
-    cfg: GAConfig,
-) -> FitnessPair:
-    """One-shot evaluation; runs share a FitnessEvaluator instead for memoization."""
-    return FitnessEvaluator(ds, conditional, folds, cfg).evaluate(individual)
 
 
 def selection(
@@ -562,15 +535,22 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
     residual = residual_feature_indices(ds.d, conditional)
     r = len(residual)
 
-    fold_ss, cluster_ss, ga_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    folds_full = stratified_kfold(ds, cfg.n_folds, np.random.default_rng(fold_ss))
+    # the fold stream is spawn key (0,), which run_fold_assignment draws
+    _, cluster_ss, ga_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    folds_full = run_fold_assignment(ds, cfg)
 
     ds_loop, folds_loop = ds, folds_full
     if cfg.use_cluster_reduction:
         cluster_rng = np.random.default_rng(cluster_ss)
         reduction = leader_cluster(ds, cfg.cluster_delta, cluster_rng)
-        ds_loop = reduce_dataset(ds, reduction)
-        folds_loop = stratified_kfold(ds_loop, cfg.n_folds, cluster_rng)
+        try:
+            ds_loop = reduce_dataset(ds, reduction)
+            folds_loop = stratified_kfold(ds_loop, cfg.n_folds, cluster_rng)
+        except DatasetError as exc:
+            raise DatasetError(
+                f"cluster reduction with delta={cfg.cluster_delta} reduced "
+                f"{ds.n} rows to {reduction.n_clusters} clusters: {exc}"
+            ) from exc
 
     rng = np.random.default_rng(ga_ss)
     evaluator = FitnessEvaluator(ds_loop, conditional, folds_loop, cfg)

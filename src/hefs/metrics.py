@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .dataset import Dataset, FoldAssignment
-
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,13 @@ def _add_sq_distances(
 def _knn_from_d2(
     d2: np.ndarray, train_y: np.ndarray, k: int, n_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vote from a precomputed squared-distance matrix; see _knn_batch."""
+    """Vote every query row of a (n_queries, n_train) squared-distance matrix;
+    also return each row's class-1 vote fraction.
+
+    Neighbors are the k smallest distances with exact ties broken by training
+    row position (lowest index first). Vote ties go to the lowest class id.
+    When fewer than k training rows exist, all of them vote.
+    """
     k_eff = min(k, d2.shape[1])
     # a copy, so the partitioned matrix is freed at once
     kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1 : k_eff].copy()
@@ -85,44 +90,9 @@ def _knn_from_d2(
     return preds, pos_frac
 
 
-def _knn_batch(
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    queries: np.ndarray,
-    k: int,
-    n_classes: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predict every query row; also return each row's class-1 vote fraction.
-
-    Neighbors are the k smallest distances with exact ties broken by training
-    row position (lowest index first). Vote ties go to the lowest class id.
-    When fewer than k training rows exist, all of them vote.
-    """
-    return _knn_from_d2(_sq_distances(queries, train_x), train_y, k, n_classes)
-
-
-def knn_predict(
-    train_rows: np.ndarray,
-    train_labels: np.ndarray,
-    query_row: np.ndarray,
-    k: int,
-    n_classes: int | None = None,
-) -> int:
-    """Classify one query row by majority vote of its k nearest training rows."""
+def _check_subset(ds: Dataset, feature_subset: Sequence[int], k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    train_rows = np.atleast_2d(np.asarray(train_rows, dtype=np.float64))
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    if train_rows.shape[0] == 0:
-        raise ValueError("no training rows")
-    if n_classes is None:
-        n_classes = int(train_labels.max()) + 1
-    query = np.asarray(query_row, dtype=np.float64).reshape(1, -1)
-    preds, _ = _knn_batch(train_rows, train_labels, query, k, n_classes)
-    return int(preds[0])
-
-
-def _check_subset(ds: Dataset, feature_subset: Sequence[int]) -> np.ndarray:
     cols = np.asarray(list(feature_subset), dtype=np.int64)
     if cols.size == 0:
         raise ValueError("feature subset is empty")
@@ -133,18 +103,63 @@ def _check_subset(ds: Dataset, feature_subset: Sequence[int]) -> np.ndarray:
     return cols
 
 
+def _fold_votes(
+    ds: Dataset,
+    folds: FoldAssignment,
+    k: int,
+    base: Sequence[int],
+    extra_sets: Sequence[Sequence[int]],
+    add_columns: Optional[Callable] = None,
+) -> Iterator[tuple[np.ndarray, list]]:
+    """Per fold, the test indices and the vote (preds, pos_frac) of base plus
+    each extra set of columns.
+
+    base's squared distances are summed once per fold into a prefix. An empty
+    extra set votes on the prefix itself; any other set adds its columns, in
+    order, to a copy. So every voted matrix is the float64 sum that
+    _sq_distances forms over base + extra, in the same order from zero.
+    add_columns(out, f, cols, scratch) adds the squared distances of cols on
+    fold f to out; by default they are computed from ds.features.
+    """
+    pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
+    if add_columns is None:
+
+        def add_columns(out, f, cols, scratch):
+            test, train = pairs[f]
+            x = ds.features[:, cols]
+            _add_sq_distances(out, x[test], x[train], scratch)
+
+    # one allocation for the whole pass: buffers of slightly different
+    # shapes, allocated and freed fold by fold, fragment the heap and
+    # raise peak memory from one run to the next
+    size = max(test.size * train.size for test, train in pairs)
+    copies = any(len(extra) for extra in extra_sets)
+    buffers = np.empty((3 if copies else 2, size))
+    for f, (test, train) in enumerate(pairs):
+        shape = (test.size, train.size)
+        prefix, scratch, *copy = (b[: test.size * train.size].reshape(shape) for b in buffers)
+        prefix.fill(0.0)
+        add_columns(prefix, f, base, scratch)
+        train_y = ds.labels[train]
+        votes = []
+        for extra in extra_sets:
+            d2 = prefix
+            if len(extra):
+                d2 = copy[0]
+                np.copyto(d2, prefix)
+                add_columns(d2, f, extra, scratch)
+            votes.append(_knn_from_d2(d2, train_y, k, ds.n_classes))
+        yield test, votes
+
+
 def _fold_predictions(
     ds: Dataset, cols: np.ndarray, folds: FoldAssignment, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Out-of-fold predictions, class-1 vote fractions, and per-fold accuracy."""
-    x = ds.features[:, cols]
     preds = np.empty(ds.n, dtype=np.int64)
     pos_frac = np.empty(ds.n, dtype=np.float64)
     fold_acc = np.empty(folds.n_folds, dtype=np.float64)
-    for f in range(folds.n_folds):
-        test = folds.test_indices(f)
-        train = folds.train_indices(f)
-        p, s = _knn_batch(x[train], ds.labels[train], x[test], k, ds.n_classes)
+    for f, (test, [(p, s)]) in enumerate(_fold_votes(ds, folds, k, cols, [()])):
         preds[test] = p
         pos_frac[test] = s
         fold_acc[f] = float(np.mean(p == ds.labels[test]))
@@ -153,9 +168,7 @@ def _fold_predictions(
 
 def cv_accuracy(ds: Dataset, feature_subset: Sequence[int], folds: FoldAssignment, k: int) -> float:
     """Mean per-fold k-NN accuracy on the given feature columns."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    cols = _check_subset(ds, feature_subset)
+    cols = _check_subset(ds, feature_subset, k)
     _, _, fold_acc = _fold_predictions(ds, cols, folds, k)
     return float(fold_acc.mean())
 
@@ -169,9 +182,7 @@ def full_metrics(
     neighbors; ties are handled by rank averaging. Precision with no
     predicted positives is defined as 0.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    cols = _check_subset(ds, feature_subset)
+    cols = _check_subset(ds, feature_subset, k)
     preds, pos_frac, fold_acc = _fold_predictions(ds, cols, folds, k)
     accuracy = float(fold_acc.mean())
     if ds.n_classes != 2:

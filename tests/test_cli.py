@@ -1,11 +1,15 @@
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import hefs
 from hefs.cli import aggregate, report_canonical_bytes, run
 
 SCHEMA = json.loads(
@@ -69,6 +73,12 @@ def test_cli_config_errors_exit_2(tmp_path, cond_file, capsys):
     # conditional set covering every feature leaves nothing to search
     assert run(["--synth", "xor", "--d", "4", "--n", "40", "--cond-size", "4",
                 "--pop", "4", "--iters", "2", "--out", str(out)]) == 2
+    # a ranked conditional set larger than d names the flag
+    capsys.readouterr()
+    assert run(["--synth", "xor", "--d", "4", "--n", "40", "--cond-size", "5",
+                "--pop", "4", "--iters", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--cond-size 5" in err and "d=4" in err
 
 
 def test_cli_data_errors_exit_1(tmp_path, capsys):
@@ -80,6 +90,13 @@ def test_cli_data_errors_exit_1(tmp_path, capsys):
     assert run(["--dataset", str(single), "--label-col", "y"]) == 1
 
     assert run(SMALL_SYNTH + ["--baseline", f"file:{tmp_path / 'no.txt'}"]) == 1
+    capsys.readouterr()
+
+    # clustering this coarse leaves too few rows of a class for the folds
+    assert run(["--synth", "xor", "--n", "60", "--d", "6", "--cond-size", "2",
+                "--cluster-reduce", "--delta", "1.0", "--out", str(tmp_path / "c.json")]) == 1
+    err = capsys.readouterr().err
+    assert "delta=1.0" in err and "60 rows to" in err and "clusters" in err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
@@ -89,6 +106,18 @@ def test_cli_non_finite_cell_names_file_row_and_column(tmp_path, capsys, cell):
     assert run(["--dataset", str(data), "--label-col", "y"]) == 1
     err = capsys.readouterr().err
     assert f"{data}: data row 2, column 'b': non-finite value '{cell}'" in err
+
+
+def test_cli_module_runs_as_a_script(tmp_path):
+    out = tmp_path / "y.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(hefs.__file__).resolve().parents[1]))
+    args = ["--synth", "xor", "--n", "40", "--d", "4", "--cond-size", "1",
+            "--pop", "4", "--iters", "2", "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "hefs.cli", *args], env=env, cwd=tmp_path, timeout=120
+    )
+    assert done.returncode == 0
+    assert json.loads(out.read_text())["schema_version"] == "1"
 
 
 # --- single-run reports ----------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hefs.ga
+import hefs.metrics
 from hefs import (
     ConditionalSet,
     ConfigError,
@@ -16,7 +17,6 @@ from hefs import (
     biased_ratio,
     complementarity_score,
     cv_accuracy,
-    evaluate_individual,
     evaluation_columns,
     hefs_run,
     mutual_information,
@@ -267,7 +267,7 @@ def evaluation_cases(draw):
 def test_batched_and_lone_evaluation_equal_cv_accuracy(cached, case):
     ds, cond, folds, cfg, masks = case
     residual = residual_feature_indices(ds.d, cond)
-    knn, voted = hefs.ga._knn_from_d2, []
+    knn, voted = hefs.metrics._knn_from_d2, []
 
     def recording_knn(d2, *args):
         voted.append(d2.tobytes())
@@ -277,7 +277,7 @@ def test_batched_and_lone_evaluation_equal_cv_accuracy(cached, case):
     with pytest.MonkeyPatch.context() as mp:
         if not cached:
             mp.setattr(hefs.ga, "_D2_CACHE_BYTES", 0)
-        mp.setattr(hefs.ga, "_knn_from_d2", recording_knn)
+        mp.setattr(hefs.metrics, "_knn_from_d2", recording_knn)
         ev = FitnessEvaluator(ds, cond, folds, cfg)
         assert (ev._d2_cache is not None) == cached
         ev.evaluate_population(batch)
@@ -297,16 +297,6 @@ def test_batched_and_lone_evaluation_equal_cv_accuracy(cached, case):
     # voted on is the one cv_accuracy forms, bit for bit
     assert batch_votes == len({m.tobytes() for m in masks}) * folds.n_folds
     assert set(voted) == expected
-
-
-def test_evaluate_individual_one_shot_matches_shared_evaluator():
-    ds = small_xor(seed=8)
-    cond = ConditionalSet((1,), "file")
-    cfg = GAConfig(**FAST)
-    folds = run_fold_assignment(ds, cfg)
-    ind = Individual(np.array([True, False, False, True, False]))
-    expect = FitnessEvaluator(ds, cond, folds, cfg).evaluate(ind.copy())
-    assert evaluate_individual(ind, cond, ds, folds, cfg) == expect
 
 
 # --- crossover -------------------------------------------------------------------

@@ -12,12 +12,12 @@ from hefs import (
     cv_accuracy,
     equal_width_bins,
     full_metrics,
-    knn_predict,
     mutual_information,
     stratified_kfold,
     synth_xor_dataset,
     zscore_normalize,
 )
+from hefs.metrics import _fold_predictions, _knn_from_d2, _sq_distances
 from conftest import make_dataset, tie_heavy_datasets
 
 
@@ -88,6 +88,17 @@ def test_metrics_report_rejects_out_of_range(bad):
 # --- k-NN prediction ----------------------------------------------------------
 
 
+def knn_predict(train, labels, query, k, n_classes=None):
+    """The production vote for one query row."""
+    train = np.asarray(train, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if n_classes is None:
+        n_classes = int(labels.max()) + 1
+    query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+    preds, _ = _knn_from_d2(_sq_distances(query, train), labels, k, n_classes)
+    return int(preds[0])
+
+
 def test_knn_predict_plain_nearest():
     train = np.array([[0.0], [1.0], [2.0]])
     assert knn_predict(train, [0, 1, 1], [0.9], k=1) == 1
@@ -110,13 +121,6 @@ def test_knn_vote_tie_goes_to_lowest_class():
 def test_knn_uses_all_rows_when_k_exceeds_them():
     train = np.array([[0.0], [5.0], [6.0]])
     assert knn_predict(train, [1, 1, 0], [100.0], k=99) == 1
-
-
-def test_knn_rejects_bad_k_and_empty_train():
-    with pytest.raises(ValueError):
-        knn_predict(np.zeros((2, 1)), [0, 1], [0.0], k=0)
-    with pytest.raises(ValueError):
-        knn_predict(np.zeros((0, 1)), [], [0.0], k=1)
 
 
 def test_knn_matches_oracle_on_tie_heavy_data():
@@ -174,8 +178,12 @@ def test_cv_accuracy_matches_oracle_on_tie_heavy_folds(case, k, n_cols):
     # k may reach past the training fold
     ds, folds = case
     cols = np.arange(min(n_cols, ds.d))
-    _, _, want = oracle_fold_scores(ds, cols, folds, k)
+    want_preds, want_shares, want = oracle_fold_scores(ds, cols, folds, k)
     assert cv_accuracy(ds, cols, folds, k) == want
+    # the pooled votes behind full_metrics, element for element
+    preds, shares, _ = _fold_predictions(ds, cols, folds, k)
+    assert preds.tolist() == want_preds.tolist()
+    assert shares.tolist() == want_shares.tolist()
 
 
 def test_cv_accuracy_perfect_feature_is_exactly_one(perfect_ds):
