@@ -7,7 +7,6 @@ from .dataset import (
     Dataset,
     DatasetError,
     FoldAssignment,
-    cosine_distance,
     leader_cluster,
     load_csv,
     reduce_dataset,

@@ -2,7 +2,8 @@
 set, search for helpers, and write a JSON report per run.
 
 Exit codes: 0 success, 1 data errors (bad files, bad labels), 2 config
-errors (bad flags, impossible settings).
+errors (bad flags, impossible settings, an --out path that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .ga import (
     ConfigError,
     GAConfig,
     HelperResult,
-    evaluation_columns,
     hefs_run,
     run_fold_assignment,
 )
@@ -103,6 +103,15 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error("--cond-size must be >= 1")
     if args.runs < 1:
         parser.error("--runs must be >= 1")
+    args.out = args.out or ("hefs_report.json" if args.runs == 1 else "hefs_runs")
+    out = Path(args.out)
+    if args.runs == 1 and out.is_dir():
+        parser.error(f"--out {out} is a directory; a single run writes one report file")
+    if args.runs > 1 and out.exists() and not out.is_dir():
+        parser.error(f"--out {out} is a file; a batch writes its reports into a directory")
+    above = next(a for a in out.parents if a.exists())
+    if not above.is_dir():
+        parser.error(f"--out {out} lies below {above}, which is a file")
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -185,13 +194,13 @@ def _execute(args: argparse.Namespace) -> int:
     conditional = _build_conditional(args, ds)
 
     if args.runs == 1:
-        out_path = Path(args.out) if args.out else Path("hefs_report.json")
+        out_path = Path(args.out)
         report = _single_run(ds, dataset_info, conditional, cfg)
         write_report(report, out_path)
         print(f"wrote {out_path}")
         return 0
 
-    out_dir = Path(args.out) if args.out else Path("hefs_runs")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for i in range(args.runs):
@@ -213,9 +222,8 @@ def _single_run(
 ) -> dict:
     result = hefs_run(ds, conditional, cfg)
     folds = run_fold_assignment(ds, cfg)
-    baseline_m = full_metrics(ds, conditional.indices, folds, cfg.knn_k)
-    combined_m = full_metrics(
-        ds, evaluation_columns(conditional, result.helper_indices), folds, cfg.knn_k
+    baseline_m, combined_m = full_metrics(
+        ds, conditional.indices, [(), result.helper_indices], folds, cfg.knn_k
     )
     return build_report(ds, dataset_info, conditional, cfg, result, baseline_m, combined_m)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,16 +146,18 @@ def load_csv(path: str | Path, label_column: str | int) -> Dataset:
     and the argument looks like an integer, it is taken as a 0-based column
     index. Labels may be arbitrary strings and are encoded as dense integers
     in first-appearance order. All other cells must parse as finite floats.
+    A fault names its row by file line, as csv.reader counts them.
     """
     p = Path(path)
     if not p.is_file():
         raise DatasetError(f"dataset file not found: {p}")
     with open(p, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 2:
         raise DatasetError(f"{p}: need a header row and at least one data row")
 
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise DatasetError(f"{p}: duplicate column names {dupes}")
@@ -167,7 +168,7 @@ def load_csv(path: str | Path, label_column: str | int) -> Dataset:
     n_cols = len(header)
     feature_rows: list[list[float]] = []
     raw_labels: list[str] = []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in rows[1:]:
         if len(row) != n_cols:
             raise DatasetError(f"{p}: row {r} has {len(row)} cells, expected {n_cols}")
         vals = []
@@ -187,8 +188,9 @@ def load_csv(path: str | Path, label_column: str | int) -> Dataset:
     if bad.size:
         i, j = bad[0]
         c = [c for c in range(n_cols) if c != label_idx][j]
+        r, row = rows[i + 1]
         raise DatasetError(
-            f"{p}: data row {i + 1}, column {header[c]!r}: non-finite value {rows[i + 1][c].strip()!r}"
+            f"{p}: row {r}, column {header[c]!r}: non-finite value {row[c].strip()!r}"
         )
 
     label_values: list[str] = []
@@ -262,24 +264,6 @@ def stratified_kfold(ds: Dataset, n_folds: int, rng: np.random.Generator) -> Fol
         offset = int(rng.integers(n_folds))
         fold_of[perm] = (np.arange(idx.size) + offset) % n_folds
     return FoldAssignment(fold_of, n_folds)
-
-
-def cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """1 minus the cosine of the angle between x and y, in [0, 2].
-
-    A zero-norm vector has no direction; its distance to anything is defined
-    as the neutral value 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    nx = math.sqrt(float(x @ x))
-    ny = math.sqrt(float(y @ y))
-    if nx == 0.0 or ny == 0.0:
-        logger.debug("cosine_distance of a zero-norm vector, returning neutral 1.0")
-        return 1.0
-    cos = float(x @ y) / (nx * ny)
-    cos = min(1.0, max(-1.0, cos))
-    return 1.0 - cos
 
 
 def leader_cluster(ds: Dataset, delta: float, rng: np.random.Generator) -> ClusterReduction:

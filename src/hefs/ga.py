@@ -32,7 +32,6 @@ from .metrics import (
     _fold_votes,
     _knn_from_d2,  # unused here; bench/tracing.py patches it under this module
     _mi_from_codes,
-    _sq_distances,
 )
 from .moo import FitnessPair, nondominated_sort, niche_select, pareto_solutions
 
@@ -288,9 +287,6 @@ class FitnessEvaluator:
         self._d2_cache: Optional[dict[int, list[np.ndarray]]] = (
             {} if ds.n * ds.n * 8 * ds.d <= _D2_CACHE_BYTES else None
         )
-        self._fold_pairs = [
-            (folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)
-        ]
 
     def _codes_for(self, j: int) -> np.ndarray:
         codes = self._codes.get(j)
@@ -313,34 +309,11 @@ class FitnessEvaluator:
             self._cross_mi[helper] = row
         return row
 
-    def _feature_d2(self, j: int) -> list[np.ndarray]:
-        mats = self._d2_cache.get(j)
-        if mats is None:
-            col = self.ds.features[:, j, None]
-            mats = [_sq_distances(col[test], col[train]) for test, train in self._fold_pairs]
-            self._d2_cache[j] = mats
-        return mats
-
-    def _add_cached_distances(
-        self, out: np.ndarray, f: int, cols: Sequence[int], scratch: np.ndarray
-    ) -> None:
-        """Add the cached squared distances of the given columns on fold f to out, in order."""
-        for j in cols:
-            out += self._feature_d2(j)[f]
-
     def _accuracies(self, helper_sets: Sequence[Sequence[int]]) -> list[float]:
         """cv_accuracy of conditional + each helper set, all sets in one pass
         per fold."""
-        labels = self.ds.labels
-        add = self._add_cached_distances if self._d2_cache is not None else None
-        votes = _fold_votes(
-            self.ds, self.folds, self.cfg.knn_k, self.conditional.indices, helper_sets, add
-        )
-        fold_acc = np.empty((len(helper_sets), self.folds.n_folds))
-        for f, (test, fold_votes) in enumerate(votes):
-            test_y = labels[test]
-            for g, (preds, _) in enumerate(fold_votes):
-                fold_acc[g, f] = float(np.mean(preds == test_y))
+        cond, k = self.conditional.indices, self.cfg.knn_k
+        _, _, fold_acc = _fold_votes(self.ds, self.folds, k, cond, helper_sets, self._d2_cache)
         return [float(row.mean()) for row in fold_acc]
 
     def _complementarity(self, helper_indices: Sequence[int]) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -109,95 +109,107 @@ def _fold_votes(
     k: int,
     base: Sequence[int],
     extra_sets: Sequence[Sequence[int]],
-    add_columns: Optional[Callable] = None,
-) -> Iterator[tuple[np.ndarray, list]]:
-    """Per fold, the test indices and the vote (preds, pos_frac) of base plus
-    each extra set of columns.
+    d2_cache: Optional[dict[int, list[np.ndarray]]] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cross-validated k-NN votes of base plus each extra set of columns:
+    out-of-fold predictions and class-1 vote fractions, each (len(extra_sets),
+    n), and per-fold accuracies, (len(extra_sets), n_folds).
 
-    base's squared distances are summed once per fold into a prefix. An empty
-    extra set votes on the prefix itself; any other set adds its columns, in
-    order, to a copy. So every voted matrix is the float64 sum that
-    _sq_distances forms over base + extra, in the same order from zero.
-    add_columns(out, f, cols, scratch) adds the squared distances of cols on
-    fold f to out; by default they are computed from ds.features.
+    Per fold, base's squared distances are summed once into a prefix. An empty
+    extra set votes on the prefix itself. The last extra set adds its columns
+    to the prefix in place, since no later set needs it; an earlier non-empty
+    set adds its columns, in order, to a copy. So every voted matrix is the
+    float64 sum that _sq_distances forms over base + extra, in the same order
+    from zero. Given a dict, d2_cache[j] holds column j's per-fold
+    _sq_distances matrices, filled on first use and valid for this ds and
+    folds only; without one, columns are summed from ds.features.
     """
     pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
-    if add_columns is None:
 
-        def add_columns(out, f, cols, scratch):
+    def add(out, f, cols, scratch):
+        if d2_cache is None:
             test, train = pairs[f]
             x = ds.features[:, cols]
             _add_sq_distances(out, x[test], x[train], scratch)
+            return
+        for j in cols:
+            if j not in d2_cache:
+                col = ds.features[:, j, None]
+                d2_cache[j] = [_sq_distances(col[test], col[train]) for test, train in pairs]
+            out += d2_cache[j][f]
 
+    n_sets = len(extra_sets)
+    preds = np.empty((n_sets, ds.n), dtype=np.int64)
+    pos_frac = np.empty((n_sets, ds.n), dtype=np.float64)
+    fold_acc = np.empty((n_sets, folds.n_folds), dtype=np.float64)
     # one allocation for the whole pass: buffers of slightly different
     # shapes, allocated and freed fold by fold, fragment the heap and
     # raise peak memory from one run to the next
     size = max(test.size * train.size for test, train in pairs)
-    copies = any(len(extra) for extra in extra_sets)
-    buffers = np.empty((3 if copies else 2, size))
+    copies = any(len(extra) for extra in extra_sets[:-1])
+    buffers = np.empty((1 + (d2_cache is None) + copies, size))
     for f, (test, train) in enumerate(pairs):
         shape = (test.size, train.size)
-        prefix, scratch, *copy = (b[: test.size * train.size].reshape(shape) for b in buffers)
+        prefix, *rest = (b[: test.size * train.size].reshape(shape) for b in buffers)
+        scratch = rest[0] if d2_cache is None else None
         prefix.fill(0.0)
-        add_columns(prefix, f, base, scratch)
-        train_y = ds.labels[train]
-        votes = []
-        for extra in extra_sets:
+        add(prefix, f, base, scratch)
+        train_y, test_y = ds.labels[train], ds.labels[test]
+        for s, extra in enumerate(extra_sets):
             d2 = prefix
             if len(extra):
-                d2 = copy[0]
-                np.copyto(d2, prefix)
-                add_columns(d2, f, extra, scratch)
-            votes.append(_knn_from_d2(d2, train_y, k, ds.n_classes))
-        yield test, votes
-
-
-def _fold_predictions(
-    ds: Dataset, cols: np.ndarray, folds: FoldAssignment, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Out-of-fold predictions, class-1 vote fractions, and per-fold accuracy."""
-    preds = np.empty(ds.n, dtype=np.int64)
-    pos_frac = np.empty(ds.n, dtype=np.float64)
-    fold_acc = np.empty(folds.n_folds, dtype=np.float64)
-    for f, (test, [(p, s)]) in enumerate(_fold_votes(ds, folds, k, cols, [()])):
-        preds[test] = p
-        pos_frac[test] = s
-        fold_acc[f] = float(np.mean(p == ds.labels[test]))
+                if s < n_sets - 1:
+                    d2 = rest[-1]
+                    np.copyto(d2, prefix)
+                add(d2, f, extra, scratch)
+            p, frac = _knn_from_d2(d2, train_y, k, ds.n_classes)
+            # per vote, so kept cheap: row-view scatters, and a count that
+            # rounds to np.mean's quotient exactly
+            preds[s][test], pos_frac[s][test] = p, frac
+            fold_acc[s, f] = np.count_nonzero(p == test_y) / test.size
     return preds, pos_frac, fold_acc
 
 
 def cv_accuracy(ds: Dataset, feature_subset: Sequence[int], folds: FoldAssignment, k: int) -> float:
     """Mean per-fold k-NN accuracy on the given feature columns."""
     cols = _check_subset(ds, feature_subset, k)
-    _, _, fold_acc = _fold_predictions(ds, cols, folds, k)
-    return float(fold_acc.mean())
+    _, _, fold_acc = _fold_votes(ds, folds, k, cols, [()])
+    return float(fold_acc[0].mean())
 
 
 def full_metrics(
-    ds: Dataset, feature_subset: Sequence[int], folds: FoldAssignment, k: int
-) -> MetricsReport:
-    """Accuracy plus, for binary problems, pooled precision, recall and AUC.
+    ds: Dataset,
+    base: Sequence[int],
+    extra_sets: Sequence[Sequence[int]],
+    folds: FoldAssignment,
+    k: int,
+) -> list[MetricsReport]:
+    """Metrics of base + each extra set, in one pass: accuracy plus, for
+    binary problems, pooled precision, recall and AUC.
 
     The AUC score for each sample is its class-1 vote fraction among the k
     neighbors; ties are handled by rank averaging. Precision with no
     predicted positives is defined as 0.
     """
-    cols = _check_subset(ds, feature_subset, k)
-    preds, pos_frac, fold_acc = _fold_predictions(ds, cols, folds, k)
-    accuracy = float(fold_acc.mean())
+    for extra in extra_sets:
+        _check_subset(ds, [*base, *extra], k)
+    votes = zip(*_fold_votes(ds, folds, k, base, extra_sets))
     if ds.n_classes != 2:
-        return MetricsReport(accuracy=accuracy)
+        return [MetricsReport(accuracy=float(fold_acc.mean())) for _, _, fold_acc in votes]
     actual_pos = ds.labels == 1
-    pred_pos = preds == 1
-    tp = int(np.sum(actual_pos & pred_pos))
-    precision = tp / int(pred_pos.sum()) if pred_pos.any() else 0.0
-    recall = tp / int(actual_pos.sum())
-    return MetricsReport(
-        accuracy=accuracy,
-        auc=_rank_auc(pos_frac, actual_pos),
-        precision=float(precision),
-        recall=float(recall),
-    )
+    reports = []
+    for preds, pos_frac, fold_acc in votes:
+        pred_pos = preds == 1
+        tp = int(np.sum(actual_pos & pred_pos))
+        reports.append(
+            MetricsReport(
+                accuracy=float(fold_acc.mean()),
+                auc=_rank_auc(pos_frac, actual_pos),
+                precision=tp / int(pred_pos.sum()) if pred_pos.any() else 0.0,
+                recall=tp / int(actual_pos.sum()),
+            )
+        )
+    return reports
 
 
 def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float:

@@ -79,6 +79,15 @@ def test_cli_config_errors_exit_2(tmp_path, cond_file, capsys):
                 "--pop", "4", "--iters", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "--cond-size 5" in err and "d=4" in err
+    # an --out that does not fit the run count is refused before any search
+    assert run(SMALL_SYNTH + ["--baseline", f"file:{cond_file}", "--out", str(tmp_path)]) == 2
+    assert f"--out {tmp_path} is a directory" in capsys.readouterr().err
+    assert run(SMALL_SYNTH + ["--baseline", f"file:{cond_file}", "--runs", "2",
+                              "--out", str(cond_file)]) == 2
+    assert f"--out {cond_file} is a file" in capsys.readouterr().err
+    below = f"{cond_file}/sub/r.json"
+    assert run(SMALL_SYNTH + ["--baseline", f"file:{cond_file}", "--out", below]) == 2
+    assert f"--out {below} lies below {cond_file}, which is a file" in capsys.readouterr().err
 
 
 def test_cli_data_errors_exit_1(tmp_path, capsys):
@@ -105,7 +114,7 @@ def test_cli_non_finite_cell_names_file_row_and_column(tmp_path, capsys, cell):
     data.write_text(f"a,b,y\n1,2,u\n3,{cell},v\n5,6,u\n")
     assert run(["--dataset", str(data), "--label-col", "y"]) == 1
     err = capsys.readouterr().err
-    assert f"{data}: data row 2, column 'b': non-finite value '{cell}'" in err
+    assert f"{data}: row 3, column 'b': non-finite value '{cell}'" in err
 
 
 def test_cli_module_runs_as_a_script(tmp_path):

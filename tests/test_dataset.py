@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hefs import (
     Dataset,
     DatasetError,
     FoldAssignment,
-    cosine_distance,
     leader_cluster,
     load_csv,
     reduce_dataset,
@@ -141,6 +141,18 @@ def test_load_csv_unparsable_cell_names_row_and_column(tmp_path):
         load_csv(p, "y")
 
 
+@pytest.mark.parametrize(
+    "bad_row, fault",
+    [("3,4", "row 4 has 2 cells, expected 3"),
+     ("3,oops,v", "row 4, column 'b': cannot parse 'oops'"),
+     ("3,nan,v", "row 4, column 'b': non-finite value 'nan'")],
+)
+def test_load_csv_names_the_file_line_below_a_blank_line(tmp_path, bad_row, fault):
+    p = _write(tmp_path, f"a,b,y\n1,2,u\n\n{bad_row}\n5,6,v\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{p}: {fault}")):
+        load_csv(p, "y")
+
+
 def test_load_csv_single_class(tmp_path):
     p = _write(tmp_path, "a,y\n1,u\n2,u\n")
     with pytest.raises(DatasetError, match="single class"):
@@ -238,6 +250,21 @@ def test_stratified_kfold_seeded_determinism():
 
 
 # --- cosine distance ---------------------------------------------------------
+
+
+def cosine_distance(x, y):
+    """Scalar oracle for the distance leader_cluster vectorises: 1 minus the
+    cosine of the angle between x and y, in [0, 2]. A zero-norm vector has no
+    direction; its distance to anything is the neutral value 1.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    nx = math.sqrt(float(x @ x))
+    ny = math.sqrt(float(y @ y))
+    if nx == 0.0 or ny == 0.0:
+        return 1.0
+    cos = float(x @ y) / (nx * ny)
+    return 1.0 - min(1.0, max(-1.0, cos))
 
 
 def test_cosine_distance_frozen_values():

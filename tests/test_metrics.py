@@ -17,7 +17,7 @@ from hefs import (
     synth_xor_dataset,
     zscore_normalize,
 )
-from hefs.metrics import _fold_predictions, _knn_from_d2, _sq_distances
+from hefs.metrics import _fold_votes, _knn_from_d2, _sq_distances
 from conftest import make_dataset, tie_heavy_datasets
 
 
@@ -181,9 +181,9 @@ def test_cv_accuracy_matches_oracle_on_tie_heavy_folds(case, k, n_cols):
     want_preds, want_shares, want = oracle_fold_scores(ds, cols, folds, k)
     assert cv_accuracy(ds, cols, folds, k) == want
     # the pooled votes behind full_metrics, element for element
-    preds, shares, _ = _fold_predictions(ds, cols, folds, k)
-    assert preds.tolist() == want_preds.tolist()
-    assert shares.tolist() == want_shares.tolist()
+    preds, shares, _ = _fold_votes(ds, folds, k, cols, [()])
+    assert preds[0].tolist() == want_preds.tolist()
+    assert shares[0].tolist() == want_shares.tolist()
 
 
 def test_cv_accuracy_perfect_feature_is_exactly_one(perfect_ds):
@@ -222,7 +222,7 @@ def test_cv_accuracy_validates_subset():
 
 def test_full_metrics_perfect_binary(perfect_ds):
     folds = stratified_kfold(perfect_ds, 5, np.random.default_rng(0))
-    m = full_metrics(perfect_ds, [0], folds, k=5)
+    [m] = full_metrics(perfect_ds, [0], [()], folds, k=5)
     assert m == MetricsReport(accuracy=1.0, auc=1.0, precision=1.0, recall=1.0)
 
 
@@ -231,7 +231,7 @@ def test_full_metrics_degenerate_all_negative_predictions():
     # index tie rule are always zeros, so nothing is ever predicted positive
     ds = make_dataset(np.zeros((20, 2)), [0] * 16 + [1] * 4)
     folds = FoldAssignment(np.array([i % 4 for i in range(20)]), 4)
-    m = full_metrics(ds, [0], folds, k=5)
+    [m] = full_metrics(ds, [0], [()], folds, k=5)
     assert m.accuracy == pytest.approx(0.8)
     assert m.precision == 0.0
     assert m.recall == 0.0
@@ -241,7 +241,7 @@ def test_full_metrics_degenerate_all_negative_predictions():
 def test_full_metrics_multiclass_only_reports_accuracy():
     ds = _random_int_dataset(np.random.default_rng(2), n_classes=3)
     folds = stratified_kfold(ds, 4, np.random.default_rng(2))
-    m = full_metrics(ds, [0, 1], folds, k=3)
+    [m] = full_metrics(ds, [0, 1], [()], folds, k=3)
     assert m.accuracy == cv_accuracy(ds, [0, 1], folds, k=3)
     assert (m.auc, m.precision, m.recall) == (None, None, None)
 
@@ -253,7 +253,7 @@ def test_full_metrics_against_scipy_and_hand_counts():
     ds = make_dataset(feats, np.repeat([0, 1], 20))
     folds = stratified_kfold(ds, 4, rng)
     cols = np.array([0, 1, 2])
-    m = full_metrics(ds, cols, folds, k=5)
+    [m] = full_metrics(ds, cols, [()], folds, k=5)
 
     preds, shares, acc = oracle_fold_scores(ds, cols, folds, 5)
     assert m.accuracy == acc
@@ -264,6 +264,28 @@ def test_full_metrics_against_scipy_and_hand_counts():
     pos, neg = shares[ds.labels == 1], shares[ds.labels == 0]
     u = scipy.stats.mannwhitneyu(pos, neg).statistic
     assert m.auc == pytest.approx(u / (20 * 20), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tie_heavy_datasets(), k=st.integers(1, 30), data=st.data())
+def test_full_metrics_one_pass_equals_one_pass_per_set(case, k, data):
+    # 2-4 classes, duplicate rows, and k that may reach past the training fold
+    ds, folds = case
+    columns = st.integers(0, ds.d - 1)
+    base = data.draw(st.lists(columns, min_size=1, max_size=ds.d - 1, unique=True))
+    rest = st.sampled_from([j for j in range(ds.d) if j not in base])
+    h1 = data.draw(st.lists(rest, min_size=1, unique=True))
+    h2 = data.draw(st.lists(rest, unique=True))
+    sets = [(), h1, h2]
+    for extra, m in zip(sets, full_metrics(ds, base, sets, folds, k)):
+        cols = [*base, *extra]
+        assert m == full_metrics(ds, cols, [()], folds, k)[0]
+        assert m.accuracy == cv_accuracy(ds, cols, folds, k)
+    cache = {}
+    cached = _fold_votes(ds, folds, k, base, sets, d2_cache=cache)
+    assert sorted(cache) == sorted({*base, *h1, *h2})
+    for got, want in zip(cached, _fold_votes(ds, folds, k, base, sets)):
+        np.testing.assert_array_equal(got, want)
 
 
 # --- equal-width binning --------------------------------------------------------
