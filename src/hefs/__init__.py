@@ -22,12 +22,8 @@ from .ga import (
     HelperResult,
     Individual,
     best_helper_set,
-    biased_ratio,
-    complementarity_score,
-    evaluation_columns,
     hefs_run,
     ratio_guided_mutation,
-    residual_feature_indices,
     run_fold_assignment,
     selection,
     selective_activation_init,
@@ -36,19 +32,14 @@ from .ga import (
 from .metrics import (
     MetricsReport,
     cv_accuracy,
-    equal_width_bins,
     full_metrics,
     mutual_information,
 )
 from .moo import (
     FitnessPair,
-    ReferencePointSet,
-    adaptive_partitions,
     dominates,
-    generate_reference_points,
     niche_select,
     nondominated_sort,
-    normalize_front,
     pareto_solutions,
 )
 

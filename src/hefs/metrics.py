@@ -33,6 +33,12 @@ class MetricsReport:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
+# distance cells voted at a time: a fold's test rows go through in tiles of
+# max(1, _TILE_ELEMENTS // train.size) rows, so a tile's prefix, its copy and
+# the partition stay in cache instead of streaming a whole fold matrix
+_TILE_ELEMENTS = 32 * 1600
+
+
 def _sq_distances(queries: np.ndarray, train: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, (n_queries, n_train).
 
@@ -42,17 +48,22 @@ def _sq_distances(queries: np.ndarray, train: np.ndarray) -> np.ndarray:
     the same column order reproduce these values bit for bit.
     """
     out = np.zeros((queries.shape[0], train.shape[0]), dtype=np.float64)
-    _add_sq_distances(out, queries, train, np.empty_like(out))
+    _add_sq_distances(out, queries.T, train.T, range(queries.shape[1]), np.empty_like(out))
     return out
 
 
 def _add_sq_distances(
-    out: np.ndarray, queries: np.ndarray, train: np.ndarray, scratch: np.ndarray
+    out: np.ndarray,
+    queries: np.ndarray,
+    train: np.ndarray,
+    cols: Sequence[int],
+    scratch: np.ndarray,
 ) -> None:
-    """Add each column's squared differences to out, one column at a time in
-    order; scratch is an out-shaped buffer the caller may reuse."""
-    for j in range(train.shape[1]):
-        np.subtract(queries[:, j, None], train[None, :, j], out=scratch)
+    """Add the squared differences of each of cols to out, one column at a time
+    in order. queries (d, n_queries) and train (d, n_train) hold one feature
+    per row; scratch is an out-shaped buffer the caller may reuse."""
+    for j in cols:
+        np.subtract(queries[j, :, None], train[j], out=scratch)
         np.multiply(scratch, scratch, out=scratch)
         out += scratch
 
@@ -115,58 +126,73 @@ def _fold_votes(
     out-of-fold predictions and class-1 vote fractions, each (len(extra_sets),
     n), and per-fold accuracies, (len(extra_sets), n_folds).
 
-    Per fold, base's squared distances are summed once into a prefix. An empty
-    extra set votes on the prefix itself. The last extra set adds its columns
-    to the prefix in place, since no later set needs it; an earlier non-empty
-    set adds its columns, in order, to a copy. So every voted matrix is the
-    float64 sum that _sq_distances forms over base + extra, in the same order
-    from zero. Given a dict, d2_cache[j] holds column j's per-fold
-    _sq_distances matrices, filled on first use and valid for this ds and
-    folds only; without one, columns are summed from ds.features.
+    Each fold's test rows are voted in tiles of max(1, _TILE_ELEMENTS //
+    train.size) rows. Per tile, base's squared distances are summed once into
+    a prefix. An empty extra set votes on the prefix itself. The last extra
+    set adds its columns to the prefix in place, since no later set needs it;
+    an earlier non-empty set adds its columns, in order, to a copy. So every
+    voted matrix is a row block of the float64 sum that _sq_distances forms
+    over base + extra, in the same order from zero. Correct votes are counted
+    per tile and divided once by the fold's test size.
+
+    Given a dict, d2_cache[j] holds column j's per-fold _sq_distances
+    matrices, filled before the first fold and valid for this ds and folds
+    only, and a tile reads their rows. Without one, each fold gathers its test
+    and train rows once, one feature per row, and every tile sums columns from
+    that gather.
     """
     pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
+    if d2_cache is not None:
+        for j in {*base, *(j for extra in extra_sets for j in extra)} - d2_cache.keys():
+            col = ds.features[:, j, None]
+            d2_cache[j] = [_sq_distances(col[test], col[train]) for test, train in pairs]
 
-    def add(out, f, cols, scratch):
+    def add(out, cols, f, tile, scratch):
+        # uncached, the columns come from fold f's gather, test_x and train_x
         if d2_cache is None:
-            test, train = pairs[f]
-            x = ds.features[:, cols]
-            _add_sq_distances(out, x[test], x[train], scratch)
-            return
-        for j in cols:
-            if j not in d2_cache:
-                col = ds.features[:, j, None]
-                d2_cache[j] = [_sq_distances(col[test], col[train]) for test, train in pairs]
-            out += d2_cache[j][f]
+            _add_sq_distances(out, test_x[:, tile], train_x, cols, scratch)
+        else:
+            for j in cols:
+                out += d2_cache[j][f][tile]
 
     n_sets = len(extra_sets)
     preds = np.empty((n_sets, ds.n), dtype=np.int64)
     pos_frac = np.empty((n_sets, ds.n), dtype=np.float64)
     fold_acc = np.empty((n_sets, folds.n_folds), dtype=np.float64)
+    steps = [max(1, _TILE_ELEMENTS // train.size) for _, train in pairs]
     # one allocation for the whole pass: buffers of slightly different
-    # shapes, allocated and freed fold by fold, fragment the heap and
-    # raise peak memory from one run to the next
-    size = max(test.size * train.size for test, train in pairs)
+    # shapes, allocated and freed tile by tile, fragment the heap and raise
+    # peak memory from one run to the next
+    size = max(min(step, test.size) * train.size for step, (test, train) in zip(steps, pairs))
     copies = any(len(extra) for extra in extra_sets[:-1])
     buffers = np.empty((1 + (d2_cache is None) + copies, size))
-    for f, (test, train) in enumerate(pairs):
-        shape = (test.size, train.size)
-        prefix, *rest = (b[: test.size * train.size].reshape(shape) for b in buffers)
-        scratch = rest[0] if d2_cache is None else None
-        prefix.fill(0.0)
-        add(prefix, f, base, scratch)
-        train_y, test_y = ds.labels[train], ds.labels[test]
-        for s, extra in enumerate(extra_sets):
-            d2 = prefix
-            if len(extra):
-                if s < n_sets - 1:
-                    d2 = rest[-1]
-                    np.copyto(d2, prefix)
-                add(d2, f, extra, scratch)
-            p, frac = _knn_from_d2(d2, train_y, k, ds.n_classes)
-            # per vote, so kept cheap: row-view scatters, and a count that
-            # rounds to np.mean's quotient exactly
-            preds[s][test], pos_frac[s][test] = p, frac
-            fold_acc[s, f] = np.count_nonzero(p == test_y) / test.size
+    for f, ((test, train), step) in enumerate(zip(pairs, steps)):
+        if d2_cache is None:
+            test_x, train_x = ds.features[test].T.copy(), ds.features[train].T.copy()
+        train_y = ds.labels[train]
+        hits = np.zeros(n_sets, dtype=np.int64)
+        for lo in range(0, test.size, step):
+            tile = slice(lo, lo + step)
+            rows = test[tile]
+            shape = (rows.size, train.size)
+            prefix, *rest = (b[: rows.size * train.size].reshape(shape) for b in buffers)
+            scratch = rest[0] if d2_cache is None else None
+            prefix.fill(0.0)
+            add(prefix, base, f, tile, scratch)
+            test_y = ds.labels[rows]
+            for s, extra in enumerate(extra_sets):
+                d2 = prefix
+                if len(extra):
+                    if s < n_sets - 1:
+                        d2 = rest[-1]
+                        np.copyto(d2, prefix)
+                    add(d2, extra, f, tile, scratch)
+                p, frac = _knn_from_d2(d2, train_y, k, ds.n_classes)
+                # per vote, so kept cheap: row-view scatters and an integer count
+                preds[s][rows], pos_frac[s][rows] = p, frac
+                hits[s] += np.count_nonzero(p == test_y)
+        # rounds to np.mean's quotient exactly
+        fold_acc[:, f] = hits / test.size
     return preds, pos_frac, fold_acc
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import hefs.metrics
 from hefs import ConditionalSet, Dataset, FoldAssignment, synth_xor_dataset, zscore_normalize
+from hefs.metrics import _sq_distances
 
 
 def make_dataset(features, labels, names=None, label_values=None) -> Dataset:
@@ -36,6 +38,39 @@ def tie_heavy_datasets(draw):
     fold_of = draw(st.permutations([i % n_folds for i in range(n)]))
     ds = make_dataset(np.array(rows) * scale, labels)
     return ds, FoldAssignment(np.array(fold_of), n_folds)
+
+
+def force_tile_rows(mp, folds, rows):
+    """Patch the tile constant so every fold votes in tiles of 1..rows test
+    rows: exactly rows where the training side is smallest."""
+    min_train = min(folds.train_indices(f).size for f in range(folds.n_folds))
+    mp.setattr(hefs.metrics, "_TILE_ELEMENTS", rows * min_train)
+
+
+def tile_blocks(ds, cols, folds):
+    """Each fold's _sq_distances(x[test], x[train]) over cols, cut into the row
+    blocks of the current tile constant: the matrices a k-NN pass votes on."""
+    x = ds.features[:, cols]
+    blocks = []
+    for f in range(folds.n_folds):
+        test, train = folds.test_indices(f), folds.train_indices(f)
+        full = _sq_distances(x[test], x[train])
+        step = max(1, hefs.metrics._TILE_ELEMENTS // train.size)
+        blocks += [full[lo : lo + step] for lo in range(0, test.size, step)]
+    return blocks
+
+
+def record_votes(mp):
+    """Patch hefs.metrics._knn_from_d2 to keep the bytes of every matrix it
+    votes on; returns the list they are appended to."""
+    knn, voted = hefs.metrics._knn_from_d2, []
+
+    def recording_knn(d2, *args):
+        voted.append(d2.tobytes())
+        return knn(d2, *args)
+
+    mp.setattr(hefs.metrics, "_knn_from_d2", recording_knn)
+    return voted
 
 
 @pytest.fixture

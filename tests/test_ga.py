@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hefs.ga
-import hefs.metrics
 from hefs import (
     ConditionalSet,
     ConfigError,
@@ -14,14 +13,10 @@ from hefs import (
     GAConfig,
     Individual,
     best_helper_set,
-    biased_ratio,
-    complementarity_score,
     cv_accuracy,
-    evaluation_columns,
     hefs_run,
     mutual_information,
     ratio_guided_mutation,
-    residual_feature_indices,
     run_fold_assignment,
     selection,
     selective_activation_init,
@@ -29,9 +24,20 @@ from hefs import (
     synth_xor_dataset,
     zscore_normalize,
 )
-from hefs.metrics import _sq_distances
+from hefs.ga import (
+    biased_ratio,
+    complementarity_score,
+    evaluation_columns,
+    residual_feature_indices,
+)
 from hefs.moo import FitnessPair
-from conftest import make_dataset, tie_heavy_datasets
+from conftest import (
+    force_tile_rows,
+    make_dataset,
+    record_votes,
+    tie_heavy_datasets,
+    tile_blocks,
+)
 
 
 def small_xor(seed=3, n=80, d=6):
@@ -263,40 +269,39 @@ def evaluation_cases(draw):
 
 @pytest.mark.parametrize("cached", [True, False])
 @settings(max_examples=60, deadline=None)
-@given(case=evaluation_cases())
-def test_batched_and_lone_evaluation_equal_cv_accuracy(cached, case):
+@given(case=evaluation_cases(), rows=st.one_of(st.none(), st.integers(1, 3)))
+def test_batched_and_lone_evaluation_equal_cv_accuracy(cached, case, rows):
+    # rows: tiles of 1..rows test rows, or the default tile size when None
     ds, cond, folds, cfg, masks = case
     residual = residual_feature_indices(ds.d, cond)
-    knn, voted = hefs.metrics._knn_from_d2, []
-
-    def recording_knn(d2, *args):
-        voted.append(d2.tobytes())
-        return knn(d2, *args)
-
     batch = [Individual(m.copy()) for m in masks]
     with pytest.MonkeyPatch.context() as mp:
         if not cached:
             mp.setattr(hefs.ga, "_D2_CACHE_BYTES", 0)
-        mp.setattr(hefs.metrics, "_knn_from_d2", recording_knn)
+        if rows is not None:
+            force_tile_rows(mp, folds, rows)
+        voted = record_votes(mp)
         ev = FitnessEvaluator(ds, cond, folds, cfg)
         assert (ev._d2_cache is not None) == cached
         ev.evaluate_population(batch)
         batch_votes = len(voted)
         lone = [FitnessEvaluator(ds, cond, folds, cfg).evaluate(Individual(m.copy())) for m in masks]
+        blocks = {}
+        for ind in batch:
+            cols = evaluation_columns(cond, [residual[i] for i in np.flatnonzero(ind.mask)])
+            blocks[ind.mask.tobytes()] = [b.tobytes() for b in tile_blocks(ds, cols, folds)]
 
-    expected = set()
     for ind, alone in zip(batch, lone):
         cols = evaluation_columns(cond, [residual[i] for i in np.flatnonzero(ind.mask)])
-        x = ds.features[:, cols]
-        for f in range(folds.n_folds):
-            test, train = folds.test_indices(f), folds.train_indices(f)
-            expected.add(_sq_distances(x[test], x[train]).tobytes())
+        # untiled here: these folds fit in one tile at the default size
         assert ind.fitness.accuracy == cv_accuracy(ds, cols, folds, cfg.knn_k)
         assert alone == ind.fitness
-    # a repeated mask is scored once per batch, and every distance matrix
-    # voted on is the one cv_accuracy forms, bit for bit
-    assert batch_votes == len({m.tobytes() for m in masks}) * folds.n_folds
-    assert set(voted) == expected
+    # a repeated mask is scored once per batch, once per tile, and every
+    # distance matrix voted on is a row block of the one cv_accuracy forms,
+    # bit for bit
+    n_tiles = len(next(iter(blocks.values())))
+    assert batch_votes == len({m.tobytes() for m in masks}) * n_tiles
+    assert set(voted) == {b for tiles in blocks.values() for b in tiles}
 
 
 # --- crossover -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +11,20 @@ from hefs import (
     FoldAssignment,
     MetricsReport,
     cv_accuracy,
-    equal_width_bins,
     full_metrics,
     mutual_information,
     stratified_kfold,
     synth_xor_dataset,
     zscore_normalize,
 )
-from hefs.metrics import _fold_votes, _knn_from_d2, _sq_distances
-from conftest import make_dataset, tie_heavy_datasets
+from hefs.metrics import _fold_votes, _knn_from_d2, _sq_distances, equal_width_bins
+from conftest import (
+    force_tile_rows,
+    make_dataset,
+    record_votes,
+    tie_heavy_datasets,
+    tile_blocks,
+)
 
 
 # --- reference implementations used as oracles ------------------------------
@@ -267,9 +273,10 @@ def test_full_metrics_against_scipy_and_hand_counts():
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=tie_heavy_datasets(), k=st.integers(1, 30), data=st.data())
-def test_full_metrics_one_pass_equals_one_pass_per_set(case, k, data):
-    # 2-4 classes, duplicate rows, and k that may reach past the training fold
+@given(case=tie_heavy_datasets(), k=st.integers(1, 30), rows=st.integers(1, 3), data=st.data())
+def test_full_metrics_one_pass_equals_one_pass_per_set(case, k, rows, data):
+    # 2-4 classes, duplicate rows, k that may reach past the training fold,
+    # and tiles of 1..rows test rows against untiled references
     ds, folds = case
     columns = st.integers(0, ds.d - 1)
     base = data.draw(st.lists(columns, min_size=1, max_size=ds.d - 1, unique=True))
@@ -277,15 +284,44 @@ def test_full_metrics_one_pass_equals_one_pass_per_set(case, k, data):
     h1 = data.draw(st.lists(rest, min_size=1, unique=True))
     h2 = data.draw(st.lists(rest, unique=True))
     sets = [(), h1, h2]
-    for extra, m in zip(sets, full_metrics(ds, base, sets, folds, k)):
-        cols = [*base, *extra]
-        assert m == full_metrics(ds, cols, [()], folds, k)[0]
-        assert m.accuracy == cv_accuracy(ds, cols, folds, k)
-    cache = {}
-    cached = _fold_votes(ds, folds, k, base, sets, d2_cache=cache)
+    # the references vote untiled: these folds fit in one tile at the default size
+    want = [full_metrics(ds, [*base, *extra], [()], folds, k)[0] for extra in sets]
+    want_votes = _fold_votes(ds, folds, k, base, sets)
+    with pytest.MonkeyPatch.context() as mp:
+        force_tile_rows(mp, folds, rows)
+        voted = record_votes(mp)
+        got = full_metrics(ds, base, sets, folds, k)
+        cache = {}
+        cached = _fold_votes(ds, folds, k, base, sets, d2_cache=cache)
+        blocks = [tile_blocks(ds, [*base, *extra], folds) for extra in sets]
+    for extra, m, w in zip(sets, got, want):
+        assert m == w
+        assert m.accuracy == cv_accuracy(ds, [*base, *extra], folds, k)
     assert sorted(cache) == sorted({*base, *h1, *h2})
-    for got, want in zip(cached, _fold_votes(ds, folds, k, base, sets)):
-        np.testing.assert_array_equal(got, want)
+    for got_votes, want_arr in zip(cached, want_votes):
+        np.testing.assert_array_equal(got_votes, want_arr)
+    # both passes vote fold by fold, tile by tile, set by set, each time on
+    # the row block of _sq_distances over base + extra, bit for bit
+    per_pass = [tiles[t].tobytes() for t in range(len(blocks[0])) for tiles in blocks]
+    assert voted == per_pass * 2
+
+
+def test_uncached_pass_holds_less_than_one_fold_matrix():
+    # the pass keeps tile-sized buffers, so its peak stays under a single
+    # fold's distance matrix however large n grows
+    rng = np.random.default_rng(0)
+    ds = make_dataset(rng.normal(size=(3000, 4)), rng.integers(0, 2, 3000))
+    folds = stratified_kfold(ds, 5, rng)
+    fold_bytes = min(
+        folds.test_indices(f).size * folds.train_indices(f).size * 8 for f in range(5)
+    )
+    tracemalloc.start()
+    try:
+        cv_accuracy(ds, [0, 1, 2, 3], folds, k=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fold_bytes
 
 
 # --- equal-width binning --------------------------------------------------------

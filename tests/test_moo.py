@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hefs import (
-    FitnessPair,
+from hefs import FitnessPair, dominates, niche_select, nondominated_sort, pareto_solutions
+from hefs.moo import (
     ReferencePointSet,
     adaptive_partitions,
-    dominates,
     generate_reference_points,
-    niche_select,
-    nondominated_sort,
     normalize_front,
-    pareto_solutions,
 )
 
 quantized = st.integers(min_value=0, max_value=5).map(lambda v: v / 5.0)
