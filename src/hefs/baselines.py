@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, DatasetError
-from .metrics import mutual_information
+from .metrics import _mi_from_codes, equal_width_bins
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,17 @@ def _check_m(ds: Dataset, m: int) -> None:
 
 
 def mi_rank_select(ds: Dataset, m: int, n_bins: int = 10) -> ConditionalSet:
-    """Top-m features by mutual information with the label, ties to lower index."""
+    """Top-m features by mutual information with the label, ties to lower index.
+
+    Each feature is cut into n_bins equal-width bins; the label is categorical,
+    one code per class.
+    """
     _check_m(ds, m)
-    labels = ds.labels.astype(np.float64)
     scores = np.array(
-        [mutual_information(ds.features[:, j], labels, n_bins) for j in range(ds.d)]
+        [
+            _mi_from_codes(equal_width_bins(col, n_bins), ds.labels, n_bins, ds.n_classes)
+            for col in ds.features.T
+        ]
     )
     order = np.argsort(-scores, kind="stable")[:m]
     return ConditionalSet(indices=tuple(int(j) for j in order), source="mi")

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -55,35 +55,42 @@ def build_parser() -> argparse.ArgumentParser:
         help="how to pick the conditional set (default mi)",
     )
     p.add_argument("--cond-size", type=int, default=20, help="conditional set size for mi/ttest")
-    p.add_argument("--pop", type=int, default=30, help="population size")
-    p.add_argument("--iters", type=int, default=100, help="generations")
-    p.add_argument("--rmin", type=float, default=0.05, help="lower activation ratio bound")
-    p.add_argument("--rmax", type=float, default=0.3, help="upper activation ratio bound")
-    p.add_argument("--scaler", type=float, default=5.0, help="bias strength toward rmin")
-    p.add_argument("--eps", type=float, default=0.01, help="on-target ratio dead zone")
-    p.add_argument("--delta", type=float, default=0.1, help="leader clustering distance threshold")
-    p.add_argument("--knn-k", type=int, default=5, help="neighbor count")
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
-    p.add_argument("--bins", type=int, default=10, help="histogram bins for mutual information")
-    p.add_argument("--pc", type=float, default=0.9, help="crossover probability")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
+    # each search flag's dest is a GAConfig field, which also gives its default
+    p.add_argument("--pop", dest="pop_size", type=int, help="population size")
+    p.add_argument("--iters", dest="generations", type=int, help="generations")
+    p.add_argument("--rmin", dest="r_min", type=float, help="lower activation ratio bound")
+    p.add_argument("--rmax", dest="r_max", type=float, help="upper activation ratio bound")
+    p.add_argument("--scaler", type=float, help="bias strength toward rmin")
+    p.add_argument("--eps", dest="ratio_eps", type=float, help="on-target ratio dead zone")
+    p.add_argument(
+        "--delta", dest="cluster_delta", type=float, help="leader clustering distance threshold"
+    )
+    p.add_argument("--knn-k", type=int, help="neighbor count")
+    p.add_argument("--folds", dest="n_folds", type=int, help="cross-validation folds")
+    p.add_argument("--bins", dest="n_bins", type=int, help="histogram bins for mutual information")
+    p.add_argument("--pc", dest="crossover_prob", type=float, help="crossover probability")
+    p.add_argument("--seed", type=int, help="base random seed")
     p.add_argument("--runs", type=int, default=1, help="independent runs with seeds seed..seed+runs-1")
     p.add_argument(
         "--cluster-reduce",
+        dest="use_cluster_reduction",
         action="store_true",
         help="score the search loop on a leader-clustered row reduction",
     )
     p.add_argument(
         "--literal-eq5",
+        dest="constant_bias",
         action="store_true",
         help="bias sampler ignores its uniform draw (constant-ratio variant)",
     )
     p.add_argument(
         "--literal-merge-p0",
+        dest="merge_initial_front",
         action="store_true",
         help="merge offspring with the initial front instead of the running archive",
     )
     p.add_argument("--out", metavar="PATH", help="report file (single run) or directory (batch)")
+    p.set_defaults(**asdict(GAConfig()))
     return p
 
 
@@ -160,30 +167,14 @@ def _build_conditional(args: argparse.Namespace, ds: Dataset) -> ConditionalSet:
     if args.baseline in ("mi", "ttest") and args.cond_size > ds.d:
         raise ConfigError(f"--cond-size {args.cond_size} exceeds the dataset's d={ds.d} features")
     if args.baseline == "mi":
-        return mi_rank_select(ds, args.cond_size, args.bins)
+        return mi_rank_select(ds, args.cond_size, args.n_bins)
     if args.baseline == "ttest":
         return ttest_rank_select(ds, args.cond_size)
     return load_conditional(args.baseline.split(":", 1)[1], ds)
 
 
 def _build_config(args: argparse.Namespace) -> GAConfig:
-    cfg = GAConfig(
-        r_min=args.rmin,
-        r_max=args.rmax,
-        scaler=args.scaler,
-        pop_size=args.pop,
-        generations=args.iters,
-        ratio_eps=args.eps,
-        cluster_delta=args.delta,
-        knn_k=args.knn_k,
-        n_folds=args.folds,
-        n_bins=args.bins,
-        crossover_prob=args.pc,
-        seed=args.seed,
-        use_cluster_reduction=args.cluster_reduce,
-        constant_bias=args.literal_eq5,
-        merge_initial_front=args.literal_merge_p0,
-    )
+    cfg = GAConfig(**{f.name: getattr(args, f.name) for f in fields(GAConfig)})
     cfg.validate()
     return cfg
 
@@ -228,10 +219,6 @@ def _single_run(
     return build_report(ds, dataset_info, conditional, cfg, result, baseline_m, combined_m)
 
 
-def _metrics_payload(m: MetricsReport) -> dict:
-    return {"accuracy": m.accuracy, "auc": m.auc, "precision": m.precision, "recall": m.recall}
-
-
 def build_report(
     ds: Dataset,
     dataset_info: dict,
@@ -250,23 +237,7 @@ def build_report(
     )
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "r_min": cfg.r_min,
-            "r_max": cfg.r_max,
-            "scaler": cfg.scaler,
-            "pop_size": cfg.pop_size,
-            "generations": cfg.generations,
-            "ratio_eps": cfg.ratio_eps,
-            "cluster_delta": cfg.cluster_delta,
-            "knn_k": cfg.knn_k,
-            "n_folds": cfg.n_folds,
-            "n_bins": cfg.n_bins,
-            "crossover_prob": cfg.crossover_prob,
-            "seed": cfg.seed,
-            "use_cluster_reduction": cfg.use_cluster_reduction,
-            "constant_bias": cfg.constant_bias,
-            "merge_initial_front": cfg.merge_initial_front,
-        },
+        "config": asdict(cfg),
         "dataset": dict(dataset_info),
         "conditional_set": {
             "source": conditional.source,
@@ -274,8 +245,8 @@ def build_report(
             "indices": list(conditional.indices),
             "names": [ds.feature_names[j] for j in conditional.indices],
         },
-        "baseline_metrics": _metrics_payload(baseline_m),
-        "combined_metrics": _metrics_payload(combined_m),
+        "baseline_metrics": asdict(baseline_m),
+        "combined_metrics": asdict(combined_m),
         "helper": {
             "indices": payload["helper_indices"],
             "names": [ds.feature_names[j] for j in result.helper_indices],
@@ -362,8 +333,7 @@ def _aggregate_csv(summary: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["metric", "mean", "std"])
-    for name in ("accuracy", "helper_count", "complementarity"):
-        entry = summary["metrics"][name]
+    for name, entry in summary["metrics"].items():
         writer.writerow([name, f"{entry['mean']:.12g}", f"{entry['std']:.12g}"])
     return buf.getvalue()
 

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 
 class DatasetError(ValueError):
@@ -277,30 +274,21 @@ def leader_cluster(ds: Dataset, delta: float, rng: np.random.Generator) -> Clust
     if not 0.0 < delta <= 2.0:
         raise DatasetError(f"delta must be in (0, 2], got {delta}")
     norms = np.linalg.norm(ds.features, axis=1)
-    if np.any(norms == 0.0):
-        logger.debug("%d zero-norm rows treated as distance 1 to everything", int((norms == 0).sum()))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    units = ds.features / safe[:, None]
-    # unit vector of a zero row is the zero vector: dot 0 -> distance 1
-    units[norms == 0.0] = 0.0
+    # a zero row stays the zero vector: dot 0 with every leader, distance 1
+    units = ds.features / np.where(norms == 0.0, 1.0, norms)[:, None]
 
     order = rng.permutation(ds.n)
-    leader_units: list[np.ndarray] = []
+    leaders = np.empty_like(units)
     members: list[list[int]] = []
     cluster_of = np.empty(ds.n, dtype=np.int64)
     for i in order:
         i = int(i)
-        assigned = -1
-        if leader_units:
-            dots = np.asarray(leader_units) @ units[i]
-            if norms[i] == 0.0:
-                dots = np.zeros(len(leader_units))
-            hits = np.flatnonzero(1.0 - dots < delta)
-            if hits.size:
-                assigned = int(hits[0])
-        if assigned < 0:
+        hits = np.flatnonzero(1.0 - leaders[: len(members)] @ units[i] < delta)
+        if hits.size:
+            assigned = int(hits[0])
+        else:
             assigned = len(members)
-            leader_units.append(units[i])
+            leaders[assigned] = units[i]
             members.append([])
         members[assigned].append(i)
         cluster_of[i] = assigned

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -137,14 +137,6 @@ class GenerationRecord:
     front_size: int
     best_complementarity: float
 
-    def to_payload(self) -> dict:
-        return {
-            "generation": self.generation,
-            "best_accuracy": self.best_accuracy,
-            "front_size": self.front_size,
-            "best_complementarity": self.best_complementarity,
-        }
-
 
 @dataclass(frozen=True)
 class HelperResult:
@@ -167,15 +159,8 @@ class HelperResult:
         return {
             "helper_indices": list(self.helper_indices),
             "accuracy": self.accuracy,
-            "trace": [rec.to_payload() for rec in self.trace],
-            "final_front": [
-                {
-                    "indices": list(idx),
-                    "accuracy": fit.accuracy,
-                    "complementarity": fit.complementarity,
-                }
-                for idx, fit in self.final_front
-            ],
+            "trace": [asdict(rec) for rec in self.trace],
+            "final_front": [{"indices": list(idx), **asdict(fit)} for idx, fit in self.final_front],
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -265,8 +250,9 @@ class FitnessEvaluator:
     through metrics._fold_votes, which sums the same distances in the same
     order whether a column comes from the per-feature cache or not. The
     complementarity objective is 1 - mean/max over the mutual information of
-    every (helper, conditional) column pair; when every such MI is zero the
-    helpers share nothing with the conditional set and the score is 1.
+    every (helper, conditional) column pair, read from a residual x
+    conditional table built once; when every such MI is zero the helpers
+    share nothing with the conditional set and the score is 1.
     """
 
     def __init__(
@@ -282,32 +268,18 @@ class FitnessEvaluator:
         self.cfg = cfg
         self.residual = residual_feature_indices(ds.d, conditional)
         self._memo: dict[bytes, FitnessPair] = {}
-        self._codes: dict[int, np.ndarray] = {}
-        self._cross_mi: dict[int, np.ndarray] = {}
+        n = cfg.n_bins
+        codes = [equal_width_bins(col, n) for col in ds.features.T]
+        # row i: MI of residual i against each conditional column, in order
+        self._cross_mi = np.array(
+            [
+                [_mi_from_codes(codes[h], codes[s], n, n) for s in conditional.indices]
+                for h in self.residual
+            ]
+        )
         self._d2_cache: Optional[dict[int, list[np.ndarray]]] = (
             {} if ds.n * ds.n * 8 * ds.d <= _D2_CACHE_BYTES else None
         )
-
-    def _codes_for(self, j: int) -> np.ndarray:
-        codes = self._codes.get(j)
-        if codes is None:
-            codes = equal_width_bins(self.ds.features[:, j], self.cfg.n_bins)
-            self._codes[j] = codes
-        return codes
-
-    def _cross_mi_for(self, helper: int) -> np.ndarray:
-        """MI of one helper column against every conditional column."""
-        row = self._cross_mi.get(helper)
-        if row is None:
-            h_codes = self._codes_for(helper)
-            row = np.array(
-                [
-                    _mi_from_codes(h_codes, self._codes_for(s), self.cfg.n_bins)
-                    for s in self.conditional.indices
-                ]
-            )
-            self._cross_mi[helper] = row
-        return row
 
     def _accuracies(self, helper_sets: Sequence[Sequence[int]]) -> list[float]:
         """cv_accuracy of conditional + each helper set, all sets in one pass
@@ -316,18 +288,14 @@ class FitnessEvaluator:
         _, _, fold_acc = _fold_votes(self.ds, self.folds, k, cond, helper_sets, self._d2_cache)
         return [float(row.mean()) for row in fold_acc]
 
-    def _complementarity(self, helper_indices: Sequence[int]) -> float:
-        values = np.concatenate([self._cross_mi_for(h) for h in helper_indices])
-        return complementarity_score(values)
-
     def _score(self, masks: dict[bytes, np.ndarray]) -> None:
         """Memoize the fitness of every mask, keyed by its bytes, in one pass."""
         if not masks:
             return
         helper_sets = [[self.residual[i] for i in np.flatnonzero(m)] for m in masks.values()]
-        for key, helpers, acc in zip(masks, helper_sets, self._accuracies(helper_sets)):
+        for (key, mask), acc in zip(masks.items(), self._accuracies(helper_sets)):
             self._memo[key] = FitnessPair(
-                accuracy=acc, complementarity=self._complementarity(helpers)
+                accuracy=acc, complementarity=complementarity_score(self._cross_mi[mask].ravel())
             )
 
     def evaluate(self, individual: Individual) -> FitnessPair:

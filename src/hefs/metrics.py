@@ -92,10 +92,11 @@ def _knn_from_d2(
         at_kth = rows == kth_t
         need = k_eff - closer.sum(axis=1, keepdims=True)
         sel[tied] = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= need))
-    nq = d2.shape[0]
-    counts = np.empty((nq, n_classes), dtype=np.int64)
-    for c in range(n_classes):
-        counts[:, c] = sel[:, train_y == c].sum(axis=1)
+    nq, nt = d2.shape
+    hit = np.flatnonzero(sel)
+    # every row selects exactly k_eff training rows; count (row, class) pairs
+    counts = np.bincount(hit // nt * n_classes + train_y[hit % nt], minlength=nq * n_classes)
+    counts = counts.reshape(nq, n_classes)
     preds = np.argmax(counts, axis=1)
     pos_frac = counts[:, 1] / k_eff if n_classes >= 2 else np.zeros(nq)
     return preds, pos_frac
@@ -276,9 +277,10 @@ def equal_width_bins(column: np.ndarray, n_bins: int) -> np.ndarray:
     return np.clip(codes, 0, n_bins - 1)
 
 
-def _mi_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, n_bins: int) -> float:
-    joint = np.bincount(codes_a * n_bins + codes_b, minlength=n_bins * n_bins)
-    joint = joint.reshape(n_bins, n_bins).astype(np.float64)
+def _mi_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, n_a: int, n_b: int) -> float:
+    """Plug-in MI in nats of two code vectors with values in 0..n_a-1 and 0..n_b-1."""
+    joint = np.bincount(codes_a * n_b + codes_b, minlength=n_a * n_b)
+    joint = joint.reshape(n_a, n_b).astype(np.float64)
     total = joint.sum()
     p = joint / total
     pa = p.sum(axis=1)
@@ -298,4 +300,5 @@ def mutual_information(a: np.ndarray, b: np.ndarray, n_bins: int = 10) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("inputs must be non-empty vectors of equal length")
-    return _mi_from_codes(equal_width_bins(a, n_bins), equal_width_bins(b, n_bins), n_bins)
+    codes_a, codes_b = equal_width_bins(a, n_bins), equal_width_bins(b, n_bins)
+    return _mi_from_codes(codes_a, codes_b, n_bins, n_bins)

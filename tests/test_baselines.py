@@ -70,6 +70,17 @@ def test_mi_rank_scores_come_from_the_public_mi():
     assert list(cs.indices) == sorted(range(5), key=lambda j: (-scores[j], j))
 
 
+def test_mi_rank_keeps_every_class_apart_with_fewer_bins_than_classes():
+    # with 2 bins, binning the 3 class ids would merge classes 1 and 2
+    labels = np.array([0, 1, 2] * 20)
+    exact = (labels == 2).astype(float)
+    noisy = (labels == 0).astype(float)
+    flip = np.random.default_rng(0).permutation(60)[:6]
+    noisy[flip] = 1.0 - noisy[flip]
+    ds = make_dataset(np.column_stack([noisy, exact]), labels)
+    assert mi_rank_select(ds, 2, n_bins=2).indices == (1, 0)
+
+
 def test_mi_rank_validates_m():
     ds = make_dataset(np.zeros((4, 2)), [0, 1, 0, 1])
     for m in (0, 3):

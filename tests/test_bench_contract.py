@@ -7,6 +7,7 @@ that moves or disappears silently turns its per-layer metrics into nulls.
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hefs import (
     synth_xor_dataset,
     zscore_normalize,
 )
+from hefs.cli import run
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -63,3 +65,14 @@ def test_every_genome_handed_to_evaluate_population_passes_through_evaluate(monk
     ds = zscore_normalize(synth_xor_dataset(60, 6, 0.0, np.random.default_rng(1)))
     hefs_run(ds, ConditionalSet((0,), "file"), GAConfig(pop_size=6, generations=3))
     assert handed and evaluated == handed
+
+
+def test_report_config_rebuilds_the_run_config(tmp_path):
+    # bench/checks.py rescores a report with GAConfig(**report["config"])
+    out = tmp_path / "report.json"
+    argv = ["--synth", "xor", "--n", "60", "--d", "5", "--baseline", "mi", "--cond-size", "1",
+            "--pop", "4", "--iters", "2", "--seed", "3", "--bins", "7", "--literal-eq5",
+            "--out", str(out)]
+    assert run(argv) == 0
+    cfg = GAConfig(**json.loads(out.read_text())["config"])
+    assert cfg == GAConfig(pop_size=4, generations=2, seed=3, n_bins=7, constant_bias=True)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import hefs
-from hefs.cli import aggregate, report_canonical_bytes, run
+from hefs import GAConfig
+from hefs.cli import aggregate, build_parser, report_canonical_bytes, run
 
 SCHEMA = json.loads(
     importlib.resources.files("hefs").joinpath("report_schema.json").read_text()
@@ -186,12 +188,39 @@ def test_cli_reports_are_deterministic_and_roundtrip_stable(tmp_path, cond_file)
     assert _dump_json(report_a) == path_a.read_text()
 
 
-def test_cli_variant_flags_are_echoed_in_config(tmp_path, cond_file):
-    report, _ = single_report(
-        tmp_path, cond_file, extra=["--literal-eq5", "--literal-merge-p0"]
-    )
-    assert report["config"]["constant_bias"] is True
-    assert report["config"]["merge_initial_front"] is True
+def test_cli_search_defaults_are_gaconfig_defaults():
+    args = build_parser().parse_args(["--synth", "xor"])
+    assert GAConfig(**{f.name: getattr(args, f.name) for f in fields(GAConfig)}) == GAConfig()
+
+
+# a valid value other than the default and SMALL_SYNTH's for every GAConfig field
+NON_DEFAULT = {
+    "r_min": 0.1,
+    "r_max": 0.4,
+    "scaler": 4.0,
+    "pop_size": 8,
+    "generations": 5,
+    "ratio_eps": 0.02,
+    "cluster_delta": 0.2,
+    "knn_k": 3,
+    "n_folds": 4,
+    "n_bins": 8,
+    "crossover_prob": 0.8,
+    "seed": 7,
+    "use_cluster_reduction": True,
+    "constant_bias": True,
+    "merge_initial_front": True,
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(GAConfig)])
+def test_cli_variant_flags_are_echoed_in_config(tmp_path, cond_file, field):
+    (flag,) = [a.option_strings[0] for a in build_parser()._actions if a.dest == field]
+    value = NON_DEFAULT[field]
+    extra = [flag] if value is True else [flag, value]
+    report, _ = single_report(tmp_path, cond_file, extra=extra)
+    expected = replace(GAConfig(pop_size=10, generations=12, seed=4), **{field: value})
+    assert report["config"] == asdict(expected)
     jsonschema.validate(report, SCHEMA)
 
 

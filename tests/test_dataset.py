@@ -352,6 +352,19 @@ def test_leader_cluster_delta_two_is_one_cluster():
     assert red.n_clusters == 1
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.5, 1.0])
+def test_leader_cluster_zero_rows_are_singletons(delta):
+    # a zero row lies at distance 1 from every row, so for delta <= 1 it
+    # founds its own cluster and nothing joins it
+    rows = np.random.default_rng(4).normal(size=(40, 3))
+    zero = np.arange(0, 40, 10)
+    rows[zero] = 0.0
+    ds = make_dataset(rows, [0, 1] * 20)
+    red = leader_cluster(ds, delta, np.random.default_rng(5))
+    sizes = np.bincount(red.member_of)
+    assert np.all(sizes[red.member_of[zero]] == 1)
+
+
 def test_leader_cluster_rejects_bad_delta():
     ds = make_dataset([[1.0], [2.0]], [0, 1])
     for delta in (0.0, -1.0, 2.5):
