@@ -163,9 +163,22 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, dict]:
     return ds, info
 
 
-def _build_conditional(args: argparse.Namespace, ds: Dataset) -> ConditionalSet:
+def _check_flags_fit(args: argparse.Namespace, ds: Dataset) -> None:
+    """Refuse, before any search, flags that the loaded dataset cannot meet."""
     if args.baseline in ("mi", "ttest") and args.cond_size > ds.d:
         raise ConfigError(f"--cond-size {args.cond_size} exceeds the dataset's d={ds.d} features")
+    if args.baseline == "ttest" and ds.n_classes != 2:
+        raise ConfigError(f"--baseline ttest needs a binary label, got {ds.n_classes} classes")
+    counts = np.bincount(ds.labels, minlength=ds.n_classes)
+    c = int(np.argmin(counts))
+    if counts[c] < args.n_folds:
+        raise ConfigError(
+            f"--folds {args.n_folds} needs {args.n_folds} rows of every class, "
+            f"class {ds.label_values[c]!r} has {int(counts[c])}"
+        )
+
+
+def _build_conditional(args: argparse.Namespace, ds: Dataset) -> ConditionalSet:
     if args.baseline == "mi":
         return mi_rank_select(ds, args.cond_size, args.n_bins)
     if args.baseline == "ttest":
@@ -182,6 +195,7 @@ def _build_config(args: argparse.Namespace) -> GAConfig:
 def _execute(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     ds, dataset_info = _load_dataset(args)
+    _check_flags_fit(args, ds)
     conditional = _build_conditional(args, ds)
 
     if args.runs == 1:

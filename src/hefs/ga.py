@@ -238,21 +238,16 @@ def selective_activation_init(r: int, cfg: GAConfig, rng: np.random.Generator) -
     return population
 
 
-# per-feature, per-fold distance matrices are kept only while n * n * 8 * d
-# bytes stay within this many
-_D2_CACHE_BYTES = 256 * 1024 * 1024
-
-
 class FitnessEvaluator:
     """Scores genomes against one dataset; memoizes by bitmask.
 
     Accuracy is cv_accuracy over conditional + helper columns: both vote
-    through metrics._fold_votes, which sums the same distances in the same
-    order whether a column comes from the per-feature cache or not. The
-    complementarity objective is 1 - mean/max over the mutual information of
-    every (helper, conditional) column pair, read from a residual x
-    conditional table built once; when every such MI is zero the helpers
-    share nothing with the conditional set and the score is 1.
+    through metrics._fold_votes, which adds the conditional columns in their
+    given order, then the helpers in ascending order. The complementarity
+    objective is 1 - mean/max over the mutual information of every (helper,
+    conditional) column pair, read from a residual x conditional table built
+    once; when every such MI is zero the helpers share nothing with the
+    conditional set and the score is 1.
     """
 
     def __init__(
@@ -277,15 +272,12 @@ class FitnessEvaluator:
                 for h in self.residual
             ]
         )
-        self._d2_cache: Optional[dict[int, list[np.ndarray]]] = (
-            {} if ds.n * ds.n * 8 * ds.d <= _D2_CACHE_BYTES else None
-        )
 
     def _accuracies(self, helper_sets: Sequence[Sequence[int]]) -> list[float]:
         """cv_accuracy of conditional + each helper set, all sets in one pass
         per fold."""
         cond, k = self.conditional.indices, self.cfg.knn_k
-        _, _, fold_acc = _fold_votes(self.ds, self.folds, k, cond, helper_sets, self._d2_cache)
+        _, _, fold_acc = _fold_votes(self.ds, self.folds, k, cond, helper_sets)
         return [float(row.mean()) for row in fold_acc]
 
     def _score(self, masks: dict[bytes, np.ndarray]) -> None:

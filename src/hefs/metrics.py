@@ -34,8 +34,8 @@ class MetricsReport:
 
 
 # distance cells voted at a time: a fold's test rows go through in tiles of
-# max(1, _TILE_ELEMENTS // train.size) rows, so a tile's prefix, its copy and
-# the partition stay in cache instead of streaming a whole fold matrix
+# max(1, _TILE_ELEMENTS // train.size) rows, so a tile's buffers and the
+# partition stay in cache instead of streaming a whole fold matrix
 _TILE_ELEMENTS = 32 * 1600
 
 
@@ -44,28 +44,30 @@ def _sq_distances(queries: np.ndarray, train: np.ndarray) -> np.ndarray:
 
     Accumulated column by column from explicit differences rather than the
     expanded dot-product form, so identical rows give exactly zero and ties
-    stay exact, and so callers that pre-sum per-column distance matrices in
-    the same column order reproduce these values bit for bit.
+    stay exact, and so a k-NN pass that adds the same columns in the same
+    order reproduces these values bit for bit.
     """
     out = np.zeros((queries.shape[0], train.shape[0]), dtype=np.float64)
-    _add_sq_distances(out, queries.T, train.T, range(queries.shape[1]), np.empty_like(out))
+    adds = [(j, [out]) for j in range(queries.shape[1])]
+    _add_sq_distances(queries.T, train.T, adds, np.empty_like(out))
     return out
 
 
 def _add_sq_distances(
-    out: np.ndarray,
     queries: np.ndarray,
     train: np.ndarray,
-    cols: Sequence[int],
+    adds: Sequence[tuple[int, Sequence[np.ndarray]]],
     scratch: np.ndarray,
 ) -> None:
-    """Add the squared differences of each of cols to out, one column at a time
-    in order. queries (d, n_queries) and train (d, n_train) hold one feature
-    per row; scratch is an out-shaped buffer the caller may reuse."""
-    for j in cols:
+    """For each (j, outs) of adds, in order, form column j's squared
+    differences once in scratch and add them to every array of outs.
+    queries (d, n_queries) and train (d, n_train) hold one feature per row;
+    scratch is an outs-shaped buffer the caller may reuse."""
+    for j, outs in adds:
         np.subtract(queries[j, :, None], train[j], out=scratch)
         np.multiply(scratch, scratch, out=scratch)
-        out += scratch
+        for out in outs:
+            out += scratch
 
 
 def _knn_from_d2(
@@ -121,73 +123,61 @@ def _fold_votes(
     k: int,
     base: Sequence[int],
     extra_sets: Sequence[Sequence[int]],
-    d2_cache: Optional[dict[int, list[np.ndarray]]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cross-validated k-NN votes of base plus each extra set of columns:
     out-of-fold predictions and class-1 vote fractions, each (len(extra_sets),
     n), and per-fold accuracies, (len(extra_sets), n_folds).
 
-    Each fold's test rows are voted in tiles of max(1, _TILE_ELEMENTS //
-    train.size) rows. Per tile, base's squared distances are summed once into
-    a prefix. An empty extra set votes on the prefix itself. The last extra
-    set adds its columns to the prefix in place, since no later set needs it;
-    an earlier non-empty set adds its columns, in order, to a copy. So every
-    voted matrix is a row block of the float64 sum that _sq_distances forms
-    over base + extra, in the same order from zero. Correct votes are counted
-    per tile and divided once by the fold's test size.
-
-    Given a dict, d2_cache[j] holds column j's per-fold _sq_distances
-    matrices, filled before the first fold and valid for this ds and folds
-    only, and a tile reads their rows. Without one, each fold gathers its test
-    and train rows once, one feature per row, and every tile sums columns from
-    that gather.
+    Each fold gathers its test and train rows once, one feature per row, and
+    votes its test rows in tiles of max(1, _TILE_ELEMENTS // train.size).
+    Per tile, base's squared distances are summed into a prefix in the given
+    order, and the prefix is copied into one buffer per non-empty extra set.
+    Then each column of the extra sets' union, in ascending order, forms its
+    squared differences once and adds them to every set that holds it. An
+    empty extra set votes on the prefix itself. So every voted matrix is a
+    row block of the float64 sum that _sq_distances forms over base +
+    sorted(extra), from zero, and the order of an extra set changes no bit.
+    Correct votes are counted per tile and divided once by the fold's test
+    size. A pass holds 2 + len(extra_sets) tile buffers and nothing that
+    grows with n squared.
     """
     pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
-    if d2_cache is not None:
-        for j in {*base, *(j for extra in extra_sets for j in extra)} - d2_cache.keys():
-            col = ds.features[:, j, None]
-            d2_cache[j] = [_sq_distances(col[test], col[train]) for test, train in pairs]
-
-    def add(out, cols, f, tile, scratch):
-        # uncached, the columns come from fold f's gather, test_x and train_x
-        if d2_cache is None:
-            _add_sq_distances(out, test_x[:, tile], train_x, cols, scratch)
-        else:
-            for j in cols:
-                out += d2_cache[j][f][tile]
-
     n_sets = len(extra_sets)
     preds = np.empty((n_sets, ds.n), dtype=np.int64)
     pos_frac = np.empty((n_sets, ds.n), dtype=np.float64)
     fold_acc = np.empty((n_sets, folds.n_folds), dtype=np.float64)
+    summed = [s for s, extra in enumerate(extra_sets) if len(extra)]
+    # each column of the extra sets' union, ascending, with the sets holding it
+    holders: dict[int, list[int]] = {}
+    for s in summed:
+        for j in extra_sets[s]:
+            holders.setdefault(int(j), []).append(s)
+    columns = sorted(holders.items())
     steps = [max(1, _TILE_ELEMENTS // train.size) for _, train in pairs]
     # one allocation for the whole pass: buffers of slightly different
     # shapes, allocated and freed tile by tile, fragment the heap and raise
     # peak memory from one run to the next
     size = max(min(step, test.size) * train.size for step, (test, train) in zip(steps, pairs))
-    copies = any(len(extra) for extra in extra_sets[:-1])
-    buffers = np.empty((1 + (d2_cache is None) + copies, size))
+    buffers = np.empty((2 + len(summed), size))
     for f, ((test, train), step) in enumerate(zip(pairs, steps)):
-        if d2_cache is None:
-            test_x, train_x = ds.features[test].T.copy(), ds.features[train].T.copy()
+        test_x, train_x = ds.features[test].T.copy(), ds.features[train].T.copy()
         train_y = ds.labels[train]
         hits = np.zeros(n_sets, dtype=np.int64)
         for lo in range(0, test.size, step):
-            tile = slice(lo, lo + step)
-            rows = test[tile]
+            rows = test[lo : lo + step]
             shape = (rows.size, train.size)
-            prefix, *rest = (b[: rows.size * train.size].reshape(shape) for b in buffers)
-            scratch = rest[0] if d2_cache is None else None
+            prefix, scratch, *sums = (b[: rows.size * train.size].reshape(shape) for b in buffers)
+            queries = test_x[:, lo : lo + step]
             prefix.fill(0.0)
-            add(prefix, base, f, tile, scratch)
+            _add_sq_distances(queries, train_x, [(j, [prefix]) for j in base], scratch)
+            d2s = [prefix] * n_sets
+            for s, d2 in zip(summed, sums):
+                np.copyto(d2, prefix)
+                d2s[s] = d2
+            adds = [(j, [d2s[s] for s in held]) for j, held in columns]
+            _add_sq_distances(queries, train_x, adds, scratch)
             test_y = ds.labels[rows]
-            for s, extra in enumerate(extra_sets):
-                d2 = prefix
-                if len(extra):
-                    if s < n_sets - 1:
-                        d2 = rest[-1]
-                        np.copyto(d2, prefix)
-                    add(d2, extra, f, tile, scratch)
+            for s, d2 in enumerate(d2s):
                 p, frac = _knn_from_d2(d2, train_y, k, ds.n_classes)
                 # per vote, so kept cheap: row-view scatters and an integer count
                 preds[s][rows], pos_frac[s][rows] = p, frac
@@ -213,6 +203,10 @@ def full_metrics(
 ) -> list[MetricsReport]:
     """Metrics of base + each extra set, in one pass: accuracy plus, for
     binary problems, pooled precision, recall and AUC.
+
+    Distances sum base's columns in the given order, then each extra set's
+    columns in ascending order, so the order of an extra set changes no bit;
+    cv_accuracy(ds, [*base, *sorted(extra)], ...) gives the same accuracy.
 
     The AUC score for each sample is its class-1 vote fraction among the k
     neighbors; ties are handled by rank averaging. Precision with no
@@ -243,16 +237,10 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     """Probability a positive outranks a negative, with tied scores averaged."""
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # a tie group's 1-based average rank: its last rank minus half its width
+    # less one, a half-integer and so exact
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     rank_sum = float(ranks[positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -90,6 +90,15 @@ def test_cli_config_errors_exit_2(tmp_path, cond_file, capsys):
     below = f"{cond_file}/sub/r.json"
     assert run(SMALL_SYNTH + ["--baseline", f"file:{cond_file}", "--out", below]) == 2
     assert f"--out {below} lies below {cond_file}, which is a file" in capsys.readouterr().err
+    # flags the loaded data cannot meet are named before any search
+    three = tmp_path / "three.csv"
+    three.write_text("a,b,y\n" + "".join(f"{i},{i % 4},{'uvw'[i % 3]}\n" for i in range(15)))
+    data = ["--dataset", str(three), "--label-col", "y", "--cond-size", "1", "--out", str(out)]
+    assert run(data + ["--baseline", "ttest"]) == 2
+    assert "--baseline ttest needs a binary label, got 3 classes" in capsys.readouterr().err
+    assert run(data + ["--folds", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "--folds 6" in err and "class 'u' has 5" in err
 
 
 def test_cli_data_errors_exit_1(tmp_path, capsys):

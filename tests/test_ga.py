@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hefs.ga
 from hefs import (
     ConditionalSet,
     ConfigError,
@@ -237,7 +237,6 @@ def test_evaluator_distance_cache_is_bit_exact():
     cfg = GAConfig(**FAST)
     folds = run_fold_assignment(ds, cfg)
     ev = FitnessEvaluator(ds, cond, folds, cfg)
-    assert ev._d2_cache is not None  # small data, the cache must engage
     residual = residual_feature_indices(ds.d, cond)
     for _ in range(20):
         mask = rng.random(len(residual)) < 0.4
@@ -247,6 +246,29 @@ def test_evaluator_distance_cache_is_bit_exact():
         helpers = [residual[i] for i in np.flatnonzero(mask)]
         cols = evaluation_columns(cond, helpers)
         assert fit.accuracy == cv_accuracy(ds, cols, folds, cfg.knn_k)
+
+
+def test_evaluator_pass_holds_tile_buffers_only():
+    # a generation's pass keeps tile-sized buffers for its sets and nothing
+    # that grows with n squared, whatever columns the genomes hold
+    rng = np.random.default_rng(0)
+    ds = make_dataset(rng.normal(size=(1500, 6)), rng.integers(0, 2, 1500))
+    cfg = GAConfig()
+    folds = run_fold_assignment(ds, cfg)
+    ev = FitnessEvaluator(ds, ConditionalSet((0, 1), "file"), folds, cfg)
+    masks = [[1, 0, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1]]
+    population = [Individual(np.array(m, dtype=bool)) for m in masks]
+    fold_bytes = min(
+        folds.test_indices(f).size * folds.train_indices(f).size * 8 for f in range(folds.n_folds)
+    )
+    tracemalloc.start()
+    try:
+        ev.evaluate_population(population)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(ind.fitness is not None for ind in population)
+    assert peak < 2 * fold_bytes
 
 
 @st.composite
@@ -267,22 +289,18 @@ def evaluation_cases(draw):
     return ds, cond, folds, cfg, [np.array(m) for m in masks]
 
 
-@pytest.mark.parametrize("cached", [True, False])
 @settings(max_examples=60, deadline=None)
 @given(case=evaluation_cases(), rows=st.one_of(st.none(), st.integers(1, 3)))
-def test_batched_and_lone_evaluation_equal_cv_accuracy(cached, case, rows):
+def test_batched_and_lone_evaluation_equal_cv_accuracy(case, rows):
     # rows: tiles of 1..rows test rows, or the default tile size when None
     ds, cond, folds, cfg, masks = case
     residual = residual_feature_indices(ds.d, cond)
     batch = [Individual(m.copy()) for m in masks]
     with pytest.MonkeyPatch.context() as mp:
-        if not cached:
-            mp.setattr(hefs.ga, "_D2_CACHE_BYTES", 0)
         if rows is not None:
             force_tile_rows(mp, folds, rows)
         voted = record_votes(mp)
         ev = FitnessEvaluator(ds, cond, folds, cfg)
-        assert (ev._d2_cache is not None) == cached
         ev.evaluate_population(batch)
         batch_votes = len(voted)
         lone = [FitnessEvaluator(ds, cond, folds, cfg).evaluate(Individual(m.copy())) for m in masks]

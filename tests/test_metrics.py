@@ -17,7 +17,13 @@ from hefs import (
     synth_xor_dataset,
     zscore_normalize,
 )
-from hefs.metrics import _fold_votes, _knn_from_d2, _sq_distances, equal_width_bins
+from hefs.metrics import (
+    _fold_votes,
+    _knn_from_d2,
+    _rank_auc,
+    _sq_distances,
+    equal_width_bins,
+)
 from conftest import (
     force_tile_rows,
     make_dataset,
@@ -272,6 +278,35 @@ def test_full_metrics_against_scipy_and_hand_counts():
     assert m.auc == pytest.approx(u / (20 * 20), abs=1e-12)
 
 
+def oracle_rank_auc(scores, positive):
+    """AUC from average ranks found by walking each group of tied scores."""
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(ranks[positive].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 30), n=st.integers(2, 400), data=st.data())
+def test_rank_auc_equals_tie_group_loop(k, n, data):
+    # scores are class-1 vote fractions, so ties are everywhere
+    votes = data.draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+    positive = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    positive[:2] = [True, False]
+    scores, positive = np.array(votes) / k, np.array(positive)
+    assert _rank_auc(scores, positive) == oracle_rank_auc(scores, positive)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=tie_heavy_datasets(), k=st.integers(1, 30), rows=st.integers(1, 3), data=st.data())
 def test_full_metrics_one_pass_equals_one_pass_per_set(case, k, rows, data):
@@ -284,26 +319,45 @@ def test_full_metrics_one_pass_equals_one_pass_per_set(case, k, rows, data):
     h1 = data.draw(st.lists(rest, min_size=1, unique=True))
     h2 = data.draw(st.lists(rest, unique=True))
     sets = [(), h1, h2]
+    # base sums in the given order, then each extra set in ascending order;
     # the references vote untiled: these folds fit in one tile at the default size
-    want = [full_metrics(ds, [*base, *extra], [()], folds, k)[0] for extra in sets]
+    summed = [[*base, *sorted(extra)] for extra in sets]
+    want = [full_metrics(ds, cols, [()], folds, k)[0] for cols in summed]
     want_votes = _fold_votes(ds, folds, k, base, sets)
     with pytest.MonkeyPatch.context() as mp:
         force_tile_rows(mp, folds, rows)
         voted = record_votes(mp)
         got = full_metrics(ds, base, sets, folds, k)
-        cache = {}
-        cached = _fold_votes(ds, folds, k, base, sets, d2_cache=cache)
-        blocks = [tile_blocks(ds, [*base, *extra], folds) for extra in sets]
-    for extra, m, w in zip(sets, got, want):
+        tiled = _fold_votes(ds, folds, k, base, sets)
+        blocks = [tile_blocks(ds, cols, folds) for cols in summed]
+    for cols, m, w in zip(summed, got, want):
         assert m == w
-        assert m.accuracy == cv_accuracy(ds, [*base, *extra], folds, k)
-    assert sorted(cache) == sorted({*base, *h1, *h2})
-    for got_votes, want_arr in zip(cached, want_votes):
+        assert m.accuracy == cv_accuracy(ds, cols, folds, k)
+    for got_votes, want_arr in zip(tiled, want_votes):
         np.testing.assert_array_equal(got_votes, want_arr)
     # both passes vote fold by fold, tile by tile, set by set, each time on
-    # the row block of _sq_distances over base + extra, bit for bit
+    # the row block of _sq_distances over base + sorted(extra), bit for bit
     per_pass = [tiles[t].tobytes() for t in range(len(blocks[0])) for tiles in blocks]
     assert voted == per_pass * 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tie_heavy_datasets(), k=st.integers(1, 30), rows=st.integers(1, 3), data=st.data())
+def test_extra_set_order_changes_no_bit(case, k, rows, data):
+    ds, folds = case
+    columns = st.integers(0, ds.d - 1)
+    base = data.draw(st.lists(columns, max_size=ds.d - 2, unique=True))
+    rest = st.sampled_from([j for j in range(ds.d) if j not in base])
+    h = data.draw(st.lists(rest, min_size=2, unique=True))
+    with pytest.MonkeyPatch.context() as mp:
+        force_tile_rows(mp, folds, rows)
+        voted = record_votes(mp)
+        votes = _fold_votes(ds, folds, k, base, [h, h[::-1], sorted(h)])
+    for arr in votes:
+        np.testing.assert_array_equal(arr[0], arr[1])
+        np.testing.assert_array_equal(arr[0], arr[2])
+    # each tile votes the three orders on the same distances, bit for bit
+    assert all(voted[t] == voted[t + 1] == voted[t + 2] for t in range(0, len(voted), 3))
 
 
 def test_uncached_pass_holds_less_than_one_fold_matrix():
