@@ -289,15 +289,16 @@ def evaluation_cases(draw):
     return ds, cond, folds, cfg, [np.array(m) for m in masks]
 
 
+@pytest.mark.parametrize("tiled", [True, False])
 @settings(max_examples=60, deadline=None)
-@given(case=evaluation_cases(), rows=st.one_of(st.none(), st.integers(1, 3)))
-def test_batched_and_lone_evaluation_equal_cv_accuracy(case, rows):
-    # rows: tiles of 1..rows test rows, or the default tile size when None
+@given(case=evaluation_cases(), rows=st.integers(1, 3))
+def test_batched_and_lone_evaluation_equal_cv_accuracy(tiled, case, rows):
+    # tiled: tiles of `rows` test rows; otherwise the default tile size
     ds, cond, folds, cfg, masks = case
     residual = residual_feature_indices(ds.d, cond)
     batch = [Individual(m.copy()) for m in masks]
     with pytest.MonkeyPatch.context() as mp:
-        if rows is not None:
+        if tiled:
             force_tile_rows(mp, folds, rows)
         voted = record_votes(mp)
         ev = FitnessEvaluator(ds, cond, folds, cfg)
