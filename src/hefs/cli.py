@@ -22,15 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import ConditionalSet, load_conditional, mi_rank_select, ttest_rank_select
-from .dataset import Dataset, DatasetError, load_csv, synth_xor_dataset, zscore_normalize
-from .ga import (
-    ConfigError,
-    GAConfig,
-    HelperResult,
-    hefs_run,
-    run_fold_assignment,
-)
-from .metrics import MetricsReport, full_metrics
+from .dataset import Dataset, LabelColumnError, load_csv, synth_xor_dataset, zscore_normalize
+from .ga import ConfigError, GAConfig, hefs_run, run_fold_assignment
+from .metrics import full_metrics
 
 SCHEMA_VERSION = "1"
 
@@ -134,7 +128,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetError, ValueError) as exc:
+    except ValueError as exc:  # a DatasetError or other bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -152,7 +146,10 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, dict]:
             "label_noise": args.noise,
         }
     else:
-        raw = load_csv(args.dataset, args.label_col)
+        try:
+            raw = load_csv(args.dataset, args.label_col)
+        except LabelColumnError as exc:
+            raise ConfigError(f"--label-col {args.label_col}: {exc}") from exc
         info = {
             "source": f"csv:{args.dataset}",
             "label_column": args.label_col,
@@ -186,69 +183,40 @@ def _build_conditional(args: argparse.Namespace, ds: Dataset) -> ConditionalSet:
     return load_conditional(args.baseline.split(":", 1)[1], ds)
 
 
-def _build_config(args: argparse.Namespace) -> GAConfig:
-    cfg = GAConfig(**{f.name: getattr(args, f.name) for f in fields(GAConfig)})
-    cfg.validate()
-    return cfg
-
-
 def _execute(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = GAConfig(**{f.name: getattr(args, f.name) for f in fields(GAConfig)})
     ds, dataset_info = _load_dataset(args)
     _check_flags_fit(args, ds)
     conditional = _build_conditional(args, ds)
 
-    if args.runs == 1:
-        out_path = Path(args.out)
-        report = _single_run(ds, dataset_info, conditional, cfg)
-        write_report(report, out_path)
-        print(f"wrote {out_path}")
-        return 0
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)
     paths = []
     for i in range(args.runs):
         run_cfg = replace(cfg, seed=cfg.seed + i)
-        report = _single_run(ds, dataset_info, conditional, run_cfg)
-        path = out_dir / f"run_seed_{run_cfg.seed}.json"
-        write_report(report, path)
+        path = out if args.runs == 1 else out / f"run_seed_{run_cfg.seed}.json"
+        write_report(_single_run(ds, dataset_info, conditional, run_cfg), path)
         print(f"wrote {path}")
         paths.append(path)
-    summary = aggregate(paths)
-    _write_text_atomic(out_dir / "aggregate.json", _dump_json(summary))
-    _write_text_atomic(out_dir / "aggregate.csv", _aggregate_csv(summary))
-    print(f"wrote {out_dir / 'aggregate.json'}")
+    if args.runs > 1:
+        summary = aggregate(paths)
+        _write_text_atomic(out / "aggregate.json", _dump_json(summary))
+        _write_text_atomic(out / "aggregate.csv", _aggregate_csv(summary))
+        print(f"wrote {out / 'aggregate.json'}")
     return 0
 
 
 def _single_run(
     ds: Dataset, dataset_info: dict, conditional: ConditionalSet, cfg: GAConfig
 ) -> dict:
+    """Search once, score the baseline and combined sets, and assemble the
+    full report dict for the run."""
     result = hefs_run(ds, conditional, cfg)
     folds = run_fold_assignment(ds, cfg)
     baseline_m, combined_m = full_metrics(
         ds, conditional.indices, [(), result.helper_indices], folds, cfg.knn_k
     )
-    return build_report(ds, dataset_info, conditional, cfg, result, baseline_m, combined_m)
-
-
-def build_report(
-    ds: Dataset,
-    dataset_info: dict,
-    conditional: ConditionalSet,
-    cfg: GAConfig,
-    result: HelperResult,
-    baseline_m: MetricsReport,
-    combined_m: MetricsReport,
-) -> dict:
-    """Assemble the full report dict for one run."""
     payload = result.to_payload()
-    helper_complementarity = next(
-        entry["complementarity"]
-        for entry in payload["final_front"]
-        if tuple(entry["indices"]) == result.helper_indices
-    )
+    helper_fit = dict(result.final_front)[result.helper_indices]
     return {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
@@ -265,7 +233,7 @@ def build_report(
             "indices": payload["helper_indices"],
             "names": [ds.feature_names[j] for j in result.helper_indices],
             "count": len(result.helper_indices),
-            "complementarity": helper_complementarity,
+            "complementarity": helper_fit.complementarity,
         },
         "final_accuracy": result.accuracy,
         "trace": payload["trace"],

@@ -13,6 +13,10 @@ class DatasetError(ValueError):
     """Raised when input data violates a contract (bad file, bad labels, ...)."""
 
 
+class LabelColumnError(DatasetError):
+    """Raised when the label column, by name or by index, is not in the file."""
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable feature matrix with dense integer class labels.
@@ -219,9 +223,11 @@ def _resolve_label_column(header: list[str], label_column: str | int, path: Path
         try:
             idx = int(name)
         except ValueError:
-            raise DatasetError(f"{path}: no column named {name!r}") from None
+            raise LabelColumnError(f"{path}: no column named {name!r}") from None
     if not 0 <= idx < len(header):
-        raise DatasetError(f"{path}: label column index {idx} out of range for {len(header)} columns")
+        raise LabelColumnError(
+            f"{path}: label column index {idx} out of range for {len(header)} columns"
+        )
     return idx
 
 

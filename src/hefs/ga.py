@@ -50,7 +50,6 @@ __all__ = [
     "ratio_guided_mutation",
     "best_helper_set",
     "residual_feature_indices",
-    "evaluation_columns",
     "run_fold_assignment",
     "hefs_run",
 ]
@@ -67,7 +66,8 @@ class GAConfig:
     r_min and r_max bound the activation ratio (fraction of residual bits
     set) that the biased sampler draws; scaler controls how strongly the
     sampler leans toward r_min. ratio_eps is the dead zone within which a
-    genome's ratio counts as on-target.
+    genome's ratio counts as on-target. Building a config validates it, so an
+    invalid one raises ConfigError and never exists.
     """
 
     r_min: float = 0.05
@@ -86,6 +86,9 @@ class GAConfig:
     # variant switches: keep the published formulas byte for byte
     constant_bias: bool = False
     merge_initial_front: bool = False
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if not 0.0 < self.r_min <= self.r_max <= 1.0:
@@ -108,6 +111,8 @@ class GAConfig:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
         if not 0.0 <= self.crossover_prob <= 1.0:
             raise ConfigError(f"crossover_prob must be in [0, 1], got {self.crossover_prob}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -177,9 +182,9 @@ def residual_feature_indices(d: int, conditional: ConditionalSet) -> tuple[int, 
     return residual
 
 
-def evaluation_columns(conditional: ConditionalSet, helper_indices: Sequence[int]) -> list[int]:
-    """Column order used everywhere a conditional + helper subset is scored."""
-    return list(conditional.indices) + [int(j) for j in helper_indices]
+def _columns(residual: Sequence[int], mask: np.ndarray) -> tuple[int, ...]:
+    """The original feature indices a genome's set bits stand for, ascending."""
+    return tuple(residual[i] for i in np.flatnonzero(mask))
 
 
 def biased_ratio(cfg: GAConfig, rng: np.random.Generator) -> float:
@@ -273,22 +278,17 @@ class FitnessEvaluator:
             ]
         )
 
-    def _accuracies(self, helper_sets: Sequence[Sequence[int]]) -> list[float]:
-        """cv_accuracy of conditional + each helper set, all sets in one pass
-        per fold."""
-        cond, k = self.conditional.indices, self.cfg.knn_k
-        _, _, fold_acc = _fold_votes(self.ds, self.folds, k, cond, helper_sets)
-        return [float(row.mean()) for row in fold_acc]
-
     def _score(self, masks: dict[bytes, np.ndarray]) -> None:
-        """Memoize the fitness of every mask, keyed by its bytes, in one pass."""
+        """Memoize the fitness of every mask, keyed by its bytes, with every
+        mask's cv_accuracy from one _fold_votes pass."""
         if not masks:
             return
-        helper_sets = [[self.residual[i] for i in np.flatnonzero(m)] for m in masks.values()]
-        for (key, mask), acc in zip(masks.items(), self._accuracies(helper_sets)):
-            self._memo[key] = FitnessPair(
-                accuracy=acc, complementarity=complementarity_score(self._cross_mi[mask].ravel())
-            )
+        cond, k = self.conditional.indices, self.cfg.knn_k
+        helper_sets = [_columns(self.residual, m) for m in masks.values()]
+        _, _, fold_acc = _fold_votes(self.ds, self.folds, k, cond, helper_sets)
+        for (key, mask), row in zip(masks.items(), fold_acc):
+            mi = self._cross_mi[mask].ravel()
+            self._memo[key] = FitnessPair(float(row.mean()), complementarity_score(mi))
 
     def evaluate(self, individual: Individual) -> FitnessPair:
         key = individual.mask.tobytes()
@@ -423,8 +423,7 @@ def best_helper_set(
     best_ind = None
     best_acc = -1.0
     for ind in population:
-        helpers = [residual[i] for i in np.flatnonzero(ind.mask)]
-        acc = cv_accuracy(ds, evaluation_columns(conditional, helpers), folds, cfg.knn_k)
+        acc = cv_accuracy(ds, conditional.indices + _columns(residual, ind.mask), folds, cfg.knn_k)
         if acc > best_acc:
             best_ind, best_acc = ind, acc
     return best_ind, best_acc
@@ -463,7 +462,6 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
     rescored on the full dataset; otherwise the loop's accuracies already are
     full-dataset ones and pick the winner directly.
     """
-    cfg.validate()
     started = time.perf_counter()
     residual = residual_feature_indices(ds.d, conditional)
     r = len(residual)
@@ -519,14 +517,10 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
         # max keeps the first of any tie, as best_helper_set does
         best_ind = max(archive, key=lambda ind: ind.fitness.accuracy)
         best_acc = best_ind.fitness.accuracy
-    helper_indices = tuple(residual[i] for i in np.flatnonzero(best_ind.mask))
-    front_dump = tuple(
-        (tuple(residual[i] for i in np.flatnonzero(ind.mask)), ind.fitness) for ind in archive
-    )
     return HelperResult(
-        helper_indices=helper_indices,
+        helper_indices=_columns(residual, best_ind.mask),
         accuracy=best_acc,
         trace=tuple(trace),
-        final_front=front_dump,
+        final_front=tuple((_columns(residual, ind.mask), ind.fitness) for ind in archive),
         elapsed_seconds=time.perf_counter() - started,
     )

@@ -23,23 +23,6 @@ class FitnessPair:
                 raise ValueError(f"{name} must be a finite value in [0, 1], got {v}")
 
 
-@dataclass(frozen=True)
-class ReferencePointSet:
-    """Evenly spaced points on the 2-d unit simplex, u + v = 1."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("need at least two 2-d reference points")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def dominates(a: FitnessPair, b: FitnessPair) -> bool:
     """True when a is at least as good in both objectives and better in one."""
     return (
@@ -79,12 +62,13 @@ def adaptive_partitions(front_size: int) -> int:
     return max(1, math.ceil(math.log(front_size + 1) * math.sqrt(front_size)))
 
 
-def generate_reference_points(n_partitions: int) -> ReferencePointSet:
-    """n_partitions + 1 points (i/P, 1 - i/P) along the unit simplex."""
+def generate_reference_points(n_partitions: int) -> np.ndarray:
+    """The (P + 1, 2) array of points (i/P, 1 - i/P) on the unit simplex
+    u + v = 1, for P = n_partitions."""
     if n_partitions < 1:
         raise ValueError(f"need at least 1 partition, got {n_partitions}")
     u = np.arange(n_partitions + 1, dtype=np.float64) / n_partitions
-    return ReferencePointSet(points=np.column_stack([u, 1.0 - u]))
+    return np.column_stack([u, 1.0 - u])
 
 
 def normalize_front(fitnesses: Sequence[FitnessPair]) -> np.ndarray:
@@ -119,7 +103,7 @@ def niche_select(
     if not 1 <= quota <= len(front):
         raise ValueError(f"quota must be in 1..{len(front)}, got {quota}")
     coords = normalize_front([fitnesses[i] for i in front])
-    refs = generate_reference_points(adaptive_partitions(len(front))).points
+    refs = generate_reference_points(adaptive_partitions(len(front)))
     d2 = ((coords[:, None, :] - refs[None, :, :]) ** 2).sum(axis=-1)
     niche_of = np.argmin(d2, axis=1)
 

@@ -99,6 +99,17 @@ def test_cli_config_errors_exit_2(tmp_path, cond_file, capsys):
     assert run(data + ["--folds", "6"]) == 2
     err = capsys.readouterr().err
     assert "--folds 6" in err and "class 'u' has 5" in err
+    # a label column the file does not have, by name or by index
+    missing = ["--dataset", str(three), "--cond-size", "1", "--out", str(out), "--label-col"]
+    assert run(missing + ["z"]) == 2
+    err = capsys.readouterr().err
+    assert "--label-col z" in err and "no column named 'z'" in err
+    assert run(missing + ["7"]) == 2
+    err = capsys.readouterr().err
+    assert "--label-col 7" in err and "index 7 out of range for 3 columns" in err
+    # a negative seed is refused before any data is loaded
+    assert run(SMALL_SYNTH + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_cli_data_errors_exit_1(tmp_path, capsys):
@@ -309,6 +320,20 @@ def test_cli_batch_writes_runs_and_aggregate(tmp_path, cond_file, capsys):
     assert [ln.split(",")[0] for ln in lines[1:]] == [
         "accuracy", "helper_count", "complementarity"
     ]
+
+
+def test_cli_batch_run_equals_single_run_of_its_seed(tmp_path, cond_file):
+    # a batch's run_seed_S.json is the report a single run with --seed S
+    # writes, and a single run writes no aggregate files
+    args = ["--synth", "xor", "--n", "80", "--d", "6", "--pop", "6", "--iters", "4",
+            "--seed", "5", "--baseline", f"file:{cond_file}"]
+    single_dir = tmp_path / "single"
+    assert run_cli(args + ["--out", single_dir / "r.json"]) == 0
+    assert run_cli(args + ["--runs", "2", "--out", tmp_path / "batch"]) == 0
+    single = json.loads((single_dir / "r.json").read_text())
+    batch = json.loads((tmp_path / "batch" / "run_seed_5.json").read_text())
+    assert report_canonical_bytes(batch) == report_canonical_bytes(single)
+    assert sorted(p.name for p in single_dir.iterdir()) == ["r.json"]
 
 
 def _fake_report(path, seed, acc):

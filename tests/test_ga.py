@@ -27,7 +27,6 @@ from hefs import (
 from hefs.ga import (
     biased_ratio,
     complementarity_score,
-    evaluation_columns,
     residual_feature_indices,
 )
 from hefs.moo import FitnessPair
@@ -77,6 +76,7 @@ def test_config_defaults_are_the_tuned_values():
         dict(n_folds=1),
         dict(n_bins=1),
         dict(crossover_prob=1.5),
+        dict(seed=-1),
     ],
 )
 def test_config_validate_rejects(kwargs):
@@ -91,11 +91,6 @@ def test_residual_indices_skip_the_conditional_set():
         residual_feature_indices(4, ConditionalSet((9,), "file"))
     with pytest.raises(ConfigError, match="nothing to search"):
         residual_feature_indices(2, ConditionalSet((0, 1), "file"))
-
-
-def test_evaluation_columns_keep_conditional_order_first():
-    cond = ConditionalSet((5, 2), "file")
-    assert evaluation_columns(cond, [7, 0]) == [5, 2, 7, 0]
 
 
 # --- biased ratio sampling -------------------------------------------------------
@@ -211,7 +206,7 @@ def test_evaluator_composes_public_accuracy_and_mi():
     helpers = [residual[0], residual[2]]
     fit = ev.evaluate(Individual(mask))
 
-    assert fit.accuracy == cv_accuracy(ds, evaluation_columns(cond, helpers), folds, cfg.knn_k)
+    assert fit.accuracy == cv_accuracy(ds, [*cond.indices, *helpers], folds, cfg.knn_k)
     cross = [
         mutual_information(ds.features[:, h], ds.features[:, c], cfg.n_bins)
         for h in helpers
@@ -244,7 +239,7 @@ def test_evaluator_distance_cache_is_bit_exact():
             mask[0] = True
         fit = ev.evaluate(Individual(mask))
         helpers = [residual[i] for i in np.flatnonzero(mask)]
-        cols = evaluation_columns(cond, helpers)
+        cols = [*cond.indices, *helpers]
         assert fit.accuracy == cv_accuracy(ds, cols, folds, cfg.knn_k)
 
 
@@ -307,11 +302,11 @@ def test_batched_and_lone_evaluation_equal_cv_accuracy(tiled, case, rows):
         lone = [FitnessEvaluator(ds, cond, folds, cfg).evaluate(Individual(m.copy())) for m in masks]
         blocks = {}
         for ind in batch:
-            cols = evaluation_columns(cond, [residual[i] for i in np.flatnonzero(ind.mask)])
+            cols = [*cond.indices, *(residual[i] for i in np.flatnonzero(ind.mask))]
             blocks[ind.mask.tobytes()] = [b.tobytes() for b in tile_blocks(ds, cols, folds)]
 
     for ind, alone in zip(batch, lone):
-        cols = evaluation_columns(cond, [residual[i] for i in np.flatnonzero(ind.mask)])
+        cols = [*cond.indices, *(residual[i] for i in np.flatnonzero(ind.mask))]
         # untiled here: these folds fit in one tile at the default size
         assert ind.fitness.accuracy == cv_accuracy(ds, cols, folds, cfg.knn_k)
         assert alone == ind.fitness
@@ -552,7 +547,7 @@ def test_hefs_run_finds_the_partner_bit_and_rescoring_matches():
     assert not set(result.helper_indices) & set(cond.indices)
 
     folds = run_fold_assignment(ds, cfg)
-    cols = evaluation_columns(cond, result.helper_indices)
+    cols = [*cond.indices, *result.helper_indices]
     assert result.accuracy == cv_accuracy(ds, cols, folds, cfg.knn_k)
 
 
@@ -610,7 +605,7 @@ def test_hefs_run_variant_switches_still_produce_valid_results():
         result = hefs_run(ds, cond, cfg)
         assert result.helper_indices
         folds = run_fold_assignment(ds, cfg)
-        cols = evaluation_columns(cond, result.helper_indices)
+        cols = [*cond.indices, *result.helper_indices]
         assert result.accuracy == cv_accuracy(ds, cols, folds, cfg.knn_k)
 
 

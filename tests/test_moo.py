@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hefs import FitnessPair, dominates, niche_select, nondominated_sort, pareto_solutions
-from hefs.moo import (
-    ReferencePointSet,
-    adaptive_partitions,
-    generate_reference_points,
-    normalize_front,
-)
+from hefs.moo import adaptive_partitions, generate_reference_points, normalize_front
 
 quantized = st.integers(min_value=0, max_value=5).map(lambda v: v / 5.0)
 pairs = st.builds(FitnessPair, accuracy=quantized, complementarity=quantized)
@@ -130,7 +125,7 @@ def test_adaptive_partitions_rejects_nonpositive():
 
 
 def test_reference_points_frozen_for_four_partitions():
-    pts = generate_reference_points(4).points
+    pts = generate_reference_points(4)
     np.testing.assert_array_equal(
         pts,
         [[0.0, 1.0], [0.25, 0.75], [0.5, 0.5], [0.75, 0.25], [1.0, 0.0]],
@@ -139,7 +134,7 @@ def test_reference_points_frozen_for_four_partitions():
 
 def test_reference_points_sum_to_one_exactly():
     for p in range(1, 200):
-        pts = generate_reference_points(p).points
+        pts = generate_reference_points(p)
         assert pts.shape == (p + 1, 2)
         assert np.all(pts.sum(axis=1) == 1.0)
         assert np.all(np.diff(pts[:, 0]) > 0)
@@ -148,10 +143,6 @@ def test_reference_points_sum_to_one_exactly():
 def test_reference_points_reject_bad_input():
     with pytest.raises(ValueError):
         generate_reference_points(0)
-    with pytest.raises(ValueError):
-        ReferencePointSet(np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        ReferencePointSet(np.zeros((3, 3)))
 
 
 # --- front normalization -------------------------------------------------------------
