@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, _column_index
 from .metrics import _mi_from_codes, equal_width_bins
 
 
@@ -35,7 +35,7 @@ class ConditionalSet:
 
 def _check_m(ds: Dataset, m: int) -> None:
     if not 1 <= m <= ds.d:
-        raise ValueError(f"m must be in 1..{ds.d}, got {m}")
+        raise ValueError(f"m must be in 1..d, got {m} for d={ds.d}")
 
 
 def mi_rank_select(ds: Dataset, m: int, n_bins: int = 10) -> ConditionalSet:
@@ -91,26 +91,16 @@ def load_conditional(path: str | Path, ds: Dataset) -> ConditionalSet:
     p = Path(path)
     if not p.is_file():
         raise DatasetError(f"conditional set file not found: {p}")
-    name_to_idx = {name: j for j, name in enumerate(ds.feature_names)}
     indices: list[int] = []
     with open(p) as fh:
         for lineno, raw in enumerate(fh, start=1):
             entry = raw.split("#", 1)[0].strip()
             if not entry:
                 continue
-            if entry in name_to_idx:
-                j = name_to_idx[entry]
-            else:
-                try:
-                    j = int(entry)
-                except ValueError:
-                    raise DatasetError(
-                        f"{p}: line {lineno}: {entry!r} is neither a feature name nor an index"
-                    ) from None
-                if not 0 <= j < ds.d:
-                    raise DatasetError(
-                        f"{p}: line {lineno}: index {j} out of range for d={ds.d}"
-                    )
+            try:
+                j = _column_index(ds.feature_names, entry)
+            except ValueError as exc:
+                raise DatasetError(f"{p}: line {lineno}: {exc}") from None
             if j in indices:
                 raise DatasetError(f"{p}: line {lineno}: feature {entry!r} listed twice")
             indices.append(j)

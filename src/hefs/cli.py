@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict, fields, replace
@@ -22,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import ConditionalSet, load_conditional, mi_rank_select, ttest_rank_select
-from .dataset import Dataset, LabelColumnError, load_csv, synth_xor_dataset, zscore_normalize
+from .dataset import Dataset, DatasetError, LabelColumnError
+from .dataset import load_csv, synth_xor_dataset, zscore_normalize
 from .ga import ConfigError, GAConfig, hefs_run, run_fold_assignment
 from .metrics import full_metrics
 
@@ -88,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> GAConfig:
+    """Refuse bad or ignored flags; return the run's search settings."""
     if args.dataset is not None and args.label_col is None:
         parser.error("--label-col is required with --dataset")
     if args.synth is not None:
@@ -100,6 +103,16 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error("--noise must be in [0, 1]")
     if args.baseline not in ("mi", "ttest") and not args.baseline.startswith("file:"):
         parser.error(f"--baseline must be mi, ttest, or file:PATH, got {args.baseline!r}")
+    if args.synth is not None:
+        ignored = [("--label-col", "--dataset")]
+    else:
+        ignored = [(flag, "--synth") for flag in ("--n", "--d", "--noise")]
+    if args.baseline.startswith("file:"):
+        ignored.append(("--cond-size", "--baseline mi or ttest"))
+    for flag, owner in ignored:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) != parser.get_default(dest):
+            parser.error(f"{flag} applies only to {owner}")
     if args.cond_size < 1:
         parser.error("--cond-size must be >= 1")
     if args.runs < 1:
@@ -113,6 +126,12 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     above = next(a for a in out.parents if a.exists())
     if not above.is_dir():
         parser.error(f"--out {out} lies below {above}, which is a file")
+    names = [f.name for f in fields(GAConfig)]
+    try:
+        return GAConfig(**{name: getattr(args, name) for name in names})
+    except ConfigError as exc:
+        flag_of = {a.dest: a.option_strings[0] for a in parser._actions if a.dest in names}
+        parser.error(re.sub(r"\w+", lambda m: flag_of.get(m[0], m[0]), str(exc)))
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -120,17 +139,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate_args(parser, args)
+        cfg = _validate_args(parser, args)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     try:
-        return _execute(args)
-    except ConfigError as exc:
+        return _execute(args, cfg)
+    except ValueError as exc:  # a ConfigError, a DatasetError or other bad input
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # a DatasetError or other bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def main() -> None:
@@ -160,33 +176,20 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, dict]:
     return ds, info
 
 
-def _check_flags_fit(args: argparse.Namespace, ds: Dataset) -> None:
-    """Refuse, before any search, flags that the loaded dataset cannot meet."""
-    if args.baseline in ("mi", "ttest") and args.cond_size > ds.d:
-        raise ConfigError(f"--cond-size {args.cond_size} exceeds the dataset's d={ds.d} features")
-    if args.baseline == "ttest" and ds.n_classes != 2:
-        raise ConfigError(f"--baseline ttest needs a binary label, got {ds.n_classes} classes")
-    counts = np.bincount(ds.labels, minlength=ds.n_classes)
-    c = int(np.argmin(counts))
-    if counts[c] < args.n_folds:
-        raise ConfigError(
-            f"--folds {args.n_folds} needs {args.n_folds} rows of every class, "
-            f"class {ds.label_values[c]!r} has {int(counts[c])}"
-        )
-
-
 def _build_conditional(args: argparse.Namespace, ds: Dataset) -> ConditionalSet:
-    if args.baseline == "mi":
-        return mi_rank_select(ds, args.cond_size, args.n_bins)
-    if args.baseline == "ttest":
+    if args.baseline.startswith("file:"):
+        return load_conditional(args.baseline.split(":", 1)[1], ds)
+    # ds is valid by now, so a fault here is flags that do not fit it
+    try:
+        if args.baseline == "mi":
+            return mi_rank_select(ds, args.cond_size, args.n_bins)
         return ttest_rank_select(ds, args.cond_size)
-    return load_conditional(args.baseline.split(":", 1)[1], ds)
+    except ValueError as exc:
+        raise ConfigError(f"--baseline {args.baseline} --cond-size {args.cond_size}: {exc}") from exc
 
 
-def _execute(args: argparse.Namespace) -> int:
-    cfg = GAConfig(**{f.name: getattr(args, f.name) for f in fields(GAConfig)})
+def _execute(args: argparse.Namespace, cfg: GAConfig) -> int:
     ds, dataset_info = _load_dataset(args)
-    _check_flags_fit(args, ds)
     conditional = _build_conditional(args, ds)
 
     out = Path(args.out)
@@ -210,12 +213,14 @@ def _single_run(
 ) -> dict:
     """Search once, score the baseline and combined sets, and assemble the
     full report dict for the run."""
+    try:
+        folds = run_fold_assignment(ds, cfg)
+    except DatasetError as exc:  # ds is valid, so the fold count does not fit it
+        raise ConfigError(f"--folds {cfg.n_folds}: {exc}") from exc
     result = hefs_run(ds, conditional, cfg)
-    folds = run_fold_assignment(ds, cfg)
     baseline_m, combined_m = full_metrics(
         ds, conditional.indices, [(), result.helper_indices], folds, cfg.knn_k
     )
-    payload = result.to_payload()
     helper_fit = dict(result.final_front)[result.helper_indices]
     return {
         "schema_version": SCHEMA_VERSION,
@@ -230,14 +235,14 @@ def _single_run(
         "baseline_metrics": asdict(baseline_m),
         "combined_metrics": asdict(combined_m),
         "helper": {
-            "indices": payload["helper_indices"],
+            "indices": result.helper_indices,
             "names": [ds.feature_names[j] for j in result.helper_indices],
             "count": len(result.helper_indices),
             "complementarity": helper_fit.complementarity,
         },
         "final_accuracy": result.accuracy,
-        "trace": payload["trace"],
-        "final_front": payload["final_front"],
+        "trace": [asdict(rec) for rec in result.trace],
+        "final_front": [{"indices": idx, **asdict(fit)} for idx, fit in result.final_front],
         "elapsed_seconds": result.elapsed_seconds,
     }
 

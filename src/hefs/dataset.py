@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -163,7 +164,10 @@ def load_csv(path: str | Path, label_column: str | int) -> Dataset:
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise DatasetError(f"{p}: duplicate column names {dupes}")
 
-    label_idx = _resolve_label_column(header, label_column, p)
+    try:
+        label_idx = _column_index(header, label_column)
+    except ValueError as exc:
+        raise LabelColumnError(f"{p}: {exc}") from None
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
 
     n_cols = len(header)
@@ -213,21 +217,17 @@ def load_csv(path: str | Path, label_column: str | int) -> Dataset:
     )
 
 
-def _resolve_label_column(header: list[str], label_column: str | int, path: Path) -> int:
-    if isinstance(label_column, int):
-        idx = label_column
-    else:
-        name = str(label_column).strip()
-        if name in header:
-            return header.index(name)
-        try:
-            idx = int(name)
-        except ValueError:
-            raise LabelColumnError(f"{path}: no column named {name!r}") from None
-    if not 0 <= idx < len(header):
-        raise LabelColumnError(
-            f"{path}: label column index {idx} out of range for {len(header)} columns"
-        )
+def _column_index(names: Sequence[str], entry: str | int) -> int:
+    """Position of the column named entry, or else of the 0-based index entry."""
+    entry = str(entry).strip()
+    if entry in names:
+        return names.index(entry)
+    try:
+        idx = int(entry)
+    except ValueError:
+        raise ValueError(f"no column named {entry!r}") from None
+    if not 0 <= idx < len(names):
+        raise ValueError(f"index {idx} out of range for {len(names)} columns")
     return idx
 
 

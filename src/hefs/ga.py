@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,25 +34,6 @@ from .metrics import (
     _mi_from_codes,
 )
 from .moo import FitnessPair, nondominated_sort, niche_select, pareto_solutions
-
-__all__ = [
-    "ConfigError",
-    "GAConfig",
-    "Individual",
-    "GenerationRecord",
-    "HelperResult",
-    "biased_ratio",
-    "complementarity_score",
-    "selective_activation_init",
-    "FitnessEvaluator",
-    "selection",
-    "single_point_crossover",
-    "ratio_guided_mutation",
-    "best_helper_set",
-    "residual_feature_indices",
-    "run_fold_assignment",
-    "hefs_run",
-]
 
 
 class ConfigError(ValueError):
@@ -88,17 +69,17 @@ class GAConfig:
     merge_initial_front: bool = False
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
+        # each message starts with the fields at fault, so a caller can name its own flags
         if not 0.0 < self.r_min <= self.r_max <= 1.0:
-            raise ConfigError(f"need 0 < r_min <= r_max <= 1, got {self.r_min}, {self.r_max}")
+            raise ConfigError(
+                f"r_min and r_max need 0 < r_min <= r_max <= 1, got {self.r_min}, {self.r_max}"
+            )
         if self.scaler <= 0.0:
             raise ConfigError(f"scaler must be positive, got {self.scaler}")
         if self.pop_size < 2:
-            raise ConfigError(f"population size must be >= 2, got {self.pop_size}")
+            raise ConfigError(f"pop_size must be >= 2, got {self.pop_size}")
         if self.generations < 1:
-            raise ConfigError(f"need at least 1 generation, got {self.generations}")
+            raise ConfigError(f"generations must be >= 1, got {self.generations}")
         if not 0.0 < self.ratio_eps < 1.0:
             raise ConfigError(f"ratio_eps must be in (0, 1), got {self.ratio_eps}")
         if not 0.0 < self.cluster_delta <= 2.0:
@@ -131,9 +112,6 @@ class Individual:
     def popcount(self) -> int:
         return int(self.mask.sum())
 
-    def copy(self) -> "Individual":
-        return Individual(self.mask.copy(), self.fitness)
-
 
 @dataclass(frozen=True)
 class GenerationRecord:
@@ -158,16 +136,6 @@ class HelperResult:
     trace: tuple[GenerationRecord, ...]
     final_front: tuple[tuple[tuple[int, ...], FitnessPair], ...]
     elapsed_seconds: float
-
-    def to_payload(self) -> dict:
-        """Plain-dict form; everything except elapsed_seconds is deterministic."""
-        return {
-            "helper_indices": list(self.helper_indices),
-            "accuracy": self.accuracy,
-            "trace": [asdict(rec) for rec in self.trace],
-            "final_front": [{"indices": list(idx), **asdict(fit)} for idx, fit in self.final_front],
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 def residual_feature_indices(d: int, conditional: ConditionalSet) -> tuple[int, ...]:
@@ -502,7 +470,7 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
             )
             offspring.extend((child_a, child_b))
         if len(parents) % 2:
-            offspring.append(parents[order[-1]].copy())
+            offspring.append(parents[order[-1]])  # mutation copies the mask
         offspring = [ratio_guided_mutation(child, cfg, rng) for child in offspring]
         evaluator.evaluate_population(offspring)
 

@@ -172,7 +172,7 @@ def test_load_conditional_duplicate_rejected(tmp_path, named_ds):
 
 def test_load_conditional_unknown_entry(tmp_path, named_ds):
     p = _write(tmp_path, "alpha\nnope\n")
-    with pytest.raises(DatasetError, match="line 2.*neither"):
+    with pytest.raises(DatasetError, match="line 2: no column named 'nope'"):
         load_conditional(p, named_ds)
 
 

@@ -1,6 +1,7 @@
 import importlib.resources
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
@@ -67,6 +68,53 @@ def test_cli_rejects_bad_flag_values(extra, capsys):
     assert run(["--synth", "xor"] + extra) == 2
 
 
+# an invalid value for every non-boolean GAConfig field
+INVALID = {
+    "r_min": 0.0,
+    "r_max": 1.5,
+    "scaler": 0.0,
+    "pop_size": 1,
+    "generations": 0,
+    "ratio_eps": 1.0,
+    "cluster_delta": 3.0,
+    "knn_k": 0,
+    "n_folds": 1,
+    "n_bins": 1,
+    "crossover_prob": 1.5,
+    "seed": -1,
+}
+
+
+def _error_line(capsys):
+    return capsys.readouterr().err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in fields(GAConfig) if not isinstance(f.default, bool)]
+)
+def test_cli_bad_search_setting_names_its_flag(field, capsys):
+    (flag,) = [a.option_strings[0] for a in build_parser()._actions if a.dest == field]
+    assert run(["--synth", "xor", flag, str(INVALID[field])]) == 2
+    line = _error_line(capsys)
+    assert line.startswith("hefs: error: ") and flag in line
+    assert not re.search(rf"(?<![\w-]){field}\b", line)  # no field name is left
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--synth", "xor", "--label-col", "nope"], "--label-col"),
+        (["--dataset", "x.csv", "--label-col", "y", "--n", "7"], "--n"),
+        (["--dataset", "x.csv", "--label-col", "y", "--d", "3"], "--d"),
+        (["--dataset", "x.csv", "--label-col", "y", "--noise", "5"], "--noise"),
+        (["--synth", "xor", "--baseline", "file:c.txt", "--cond-size", "3"], "--cond-size"),
+    ],
+)
+def test_cli_refuses_flags_the_source_ignores(extra, flag, capsys):
+    assert run(extra) == 2
+    assert _error_line(capsys).startswith(f"hefs: error: {flag} applies only to")
+
+
 def test_cli_config_errors_exit_2(tmp_path, cond_file, capsys):
     out = tmp_path / "r.json"
     base = SMALL_SYNTH + ["--baseline", f"file:{cond_file}", "--out", str(out)]
@@ -95,7 +143,8 @@ def test_cli_config_errors_exit_2(tmp_path, cond_file, capsys):
     three.write_text("a,b,y\n" + "".join(f"{i},{i % 4},{'uvw'[i % 3]}\n" for i in range(15)))
     data = ["--dataset", str(three), "--label-col", "y", "--cond-size", "1", "--out", str(out)]
     assert run(data + ["--baseline", "ttest"]) == 2
-    assert "--baseline ttest needs a binary label, got 3 classes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--baseline ttest" in err and "binary" in err and "got 3 classes" in err
     assert run(data + ["--folds", "6"]) == 2
     err = capsys.readouterr().err
     assert "--folds 6" in err and "class 'u' has 5" in err
