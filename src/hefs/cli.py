@@ -109,8 +109,11 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         ignored = [(flag, "--synth") for flag in ("--n", "--d", "--noise")]
     if args.baseline.startswith("file:"):
         ignored.append(("--cond-size", "--baseline mi or ttest"))
+    if not args.use_cluster_reduction:
+        ignored.append(("--delta", "--cluster-reduce"))
+    dest_of = {a.option_strings[0]: a.dest for a in parser._actions if a.option_strings}
     for flag, owner in ignored:
-        dest = flag[2:].replace("-", "_")
+        dest = dest_of[flag]
         if getattr(args, dest) != parser.get_default(dest):
             parser.error(f"{flag} applies only to {owner}")
     if args.cond_size < 1:

@@ -34,8 +34,10 @@ class MetricsReport:
 
 
 # distance cells voted at a time: a fold's test rows go through in tiles of
-# max(1, _TILE_ELEMENTS // train.size) rows, so a tile's buffers and the
-# partition stay in cache instead of streaming a whole fold matrix
+# max(1, _TILE_ELEMENTS // train.size) rows, and a tile's sets go to k-NN in
+# chunks of max(1, _TILE_ELEMENTS // tile.size), so a tile's buffers and the
+# partition stay in cache instead of streaming a whole fold matrix, and a
+# small tile votes many sets per call instead of paying dispatch per set
 _TILE_ELEMENTS = 32 * 1600
 
 
@@ -130,27 +132,31 @@ def _fold_votes(
 
     Each fold gathers its test and train rows once, one feature per row, and
     votes its test rows in tiles of max(1, _TILE_ELEMENTS // train.size).
-    Per tile, base's squared distances are summed into a prefix in the given
-    order, and the prefix is copied into one buffer per non-empty extra set.
-    Then each column of the extra sets' union, in ascending order, forms its
-    squared differences once and adds them to every set that holds it. An
-    empty extra set votes on the prefix itself. So every voted matrix is a
-    row block of the float64 sum that _sq_distances forms over base +
-    sorted(extra), from zero, and the order of an extra set changes no bit.
-    Correct votes are counted per tile and divided once by the fold's test
-    size. A pass holds 2 + len(extra_sets) tile buffers and nothing that
-    grows with n squared.
+    Each extra set has a tile buffer, and the buffers lie back to back,
+    (len(extra_sets), rows, train). Per tile, base's squared distances are
+    summed in the given order into the first set's buffer, and this prefix
+    is copied into every other set's. Then each column of the extra sets'
+    union, in ascending order, forms its squared differences once and adds
+    them to every set that holds it; an empty extra set keeps the prefix.
+    So every voted matrix is a row block of the float64 sum that
+    _sq_distances forms over base + sorted(extra), from zero, and the order
+    of an extra set changes no bit. The sets are voted in chunks of
+    max(1, _TILE_ELEMENTS // tile.size), one _knn_from_d2 call per chunk on
+    its (sets * rows, train) rows; a vote reads its own row only, so
+    chunking changes no vote. Correct votes are counted per chunk and
+    divided once by the fold's test size. A pass holds 1 + len(extra_sets)
+    tile buffers, a scratch one and the sets', and nothing that grows with
+    n squared.
     """
     pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
     n_sets = len(extra_sets)
     preds = np.empty((n_sets, ds.n), dtype=np.int64)
     pos_frac = np.empty((n_sets, ds.n), dtype=np.float64)
     fold_acc = np.empty((n_sets, folds.n_folds), dtype=np.float64)
-    summed = [s for s, extra in enumerate(extra_sets) if len(extra)]
     # each column of the extra sets' union, ascending, with the sets holding it
     holders: dict[int, list[int]] = {}
-    for s in summed:
-        for j in extra_sets[s]:
+    for s, extra in enumerate(extra_sets):
+        for j in extra:
             holders.setdefault(int(j), []).append(s)
     columns = sorted(holders.items())
     steps = [max(1, _TILE_ELEMENTS // train.size) for _, train in pairs]
@@ -158,30 +164,33 @@ def _fold_votes(
     # shapes, allocated and freed tile by tile, fragment the heap and raise
     # peak memory from one run to the next
     size = max(min(step, test.size) * train.size for step, (test, train) in zip(steps, pairs))
-    buffers = np.empty((2 + len(summed), size))
+    flat = np.empty((1 + n_sets) * size)
     for f, ((test, train), step) in enumerate(zip(pairs, steps)):
         test_x, train_x = ds.features[test].T.copy(), ds.features[train].T.copy()
         train_y = ds.labels[train]
         hits = np.zeros(n_sets, dtype=np.int64)
         for lo in range(0, test.size, step):
             rows = test[lo : lo + step]
-            shape = (rows.size, train.size)
-            prefix, scratch, *sums = (b[: rows.size * train.size].reshape(shape) for b in buffers)
+            cells = rows.size * train.size
+            tiles = flat[: (1 + n_sets) * cells].reshape(1 + n_sets, rows.size, train.size)
+            scratch, d2s = tiles[0], tiles[1:]
+            # the first set's buffer, none when there are no sets, takes the prefix
+            first = d2s[:1]
             queries = test_x[:, lo : lo + step]
-            prefix.fill(0.0)
-            _add_sq_distances(queries, train_x, [(j, [prefix]) for j in base], scratch)
-            d2s = [prefix] * n_sets
-            for s, d2 in zip(summed, sums):
-                np.copyto(d2, prefix)
-                d2s[s] = d2
-            adds = [(j, [d2s[s] for s in held]) for j, held in columns]
+            first.fill(0.0)
+            _add_sq_distances(queries, train_x, [(j, first) for j in base], scratch)
+            d2s[1:] = first
+            views = list(d2s)  # one view per set, not one per (column, holder)
+            adds = [(j, [views[s] for s in held]) for j, held in columns]
             _add_sq_distances(queries, train_x, adds, scratch)
             test_y = ds.labels[rows]
-            for s, d2 in enumerate(d2s):
-                p, frac = _knn_from_d2(d2, train_y, k, ds.n_classes)
-                # per vote, so kept cheap: row-view scatters and an integer count
-                preds[s][rows], pos_frac[s][rows] = p, frac
-                hits[s] += np.count_nonzero(p == test_y)
+            chunk = max(1, _TILE_ELEMENTS // cells)
+            for lo_set in range(0, n_sets, chunk):
+                sets = slice(lo_set, lo_set + chunk)
+                p, frac = _knn_from_d2(d2s[sets].reshape(-1, train.size), train_y, k, ds.n_classes)
+                p = p.reshape(-1, rows.size)
+                preds[sets, rows], pos_frac[sets, rows] = p, frac.reshape(p.shape)
+                hits[sets] += (p == test_y).sum(axis=1)
         # rounds to np.mean's quotient exactly
         fold_acc[:, f] = hits / test.size
     return preds, pos_frac, fold_acc

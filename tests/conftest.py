@@ -60,13 +60,21 @@ def tile_blocks(ds, cols, folds):
     return blocks
 
 
+def pass_rows(ds, folds, col_sets):
+    """The bytes of every distance row a k-NN pass over col_sets votes on, in
+    its order: fold by fold, tile by tile, set by set, row by row."""
+    blocks = [tile_blocks(ds, cols, folds) for cols in col_sets]
+    return [row.tobytes() for t in range(len(blocks[0])) for tiles in blocks for row in tiles[t]]
+
+
 def record_votes(mp):
-    """Patch hefs.metrics._knn_from_d2 to keep the bytes of every matrix it
-    votes on; returns the list they are appended to."""
+    """Patch hefs.metrics._knn_from_d2 to keep the bytes of every distance row
+    it votes on, in order; returns the list they are appended to. A call may
+    vote several sets' rows at once, so rows are what a pass is checked by."""
     knn, voted = hefs.metrics._knn_from_d2, []
 
     def recording_knn(d2, *args):
-        voted.append(d2.tobytes())
+        voted.extend(row.tobytes() for row in d2)
         return knn(d2, *args)
 
     mp.setattr(hefs.metrics, "_knn_from_d2", recording_knn)

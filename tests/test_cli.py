@@ -85,6 +85,11 @@ INVALID = {
 }
 
 
+# --delta applies only beside --cluster-reduce: the flags it needs, and the
+# fields they set
+WITH = {"cluster_delta": (["--cluster-reduce"], {"use_cluster_reduction": True})}
+
+
 def _error_line(capsys):
     return capsys.readouterr().err.strip().splitlines()[-1]
 
@@ -94,7 +99,7 @@ def _error_line(capsys):
 )
 def test_cli_bad_search_setting_names_its_flag(field, capsys):
     (flag,) = [a.option_strings[0] for a in build_parser()._actions if a.dest == field]
-    assert run(["--synth", "xor", flag, str(INVALID[field])]) == 2
+    assert run(["--synth", "xor", flag, str(INVALID[field]), *WITH.get(field, ([], {}))[0]]) == 2
     line = _error_line(capsys)
     assert line.startswith("hefs: error: ") and flag in line
     assert not re.search(rf"(?<![\w-]){field}\b", line)  # no field name is left
@@ -108,6 +113,7 @@ def test_cli_bad_search_setting_names_its_flag(field, capsys):
         (["--dataset", "x.csv", "--label-col", "y", "--d", "3"], "--d"),
         (["--dataset", "x.csv", "--label-col", "y", "--noise", "5"], "--noise"),
         (["--synth", "xor", "--baseline", "file:c.txt", "--cond-size", "3"], "--cond-size"),
+        (["--synth", "xor", "--delta", "0.7"], "--delta"),
     ],
 )
 def test_cli_refuses_flags_the_source_ignores(extra, flag, capsys):
@@ -287,8 +293,9 @@ def test_cli_variant_flags_are_echoed_in_config(tmp_path, cond_file, field):
     (flag,) = [a.option_strings[0] for a in build_parser()._actions if a.dest == field]
     value = NON_DEFAULT[field]
     extra = [flag] if value is True else [flag, value]
-    report, _ = single_report(tmp_path, cond_file, extra=extra)
-    expected = replace(GAConfig(pop_size=10, generations=12, seed=4), **{field: value})
+    needed, needed_fields = WITH.get(field, ([], {}))
+    report, _ = single_report(tmp_path, cond_file, extra=extra + needed)
+    expected = replace(GAConfig(pop_size=10, generations=12, seed=4), **{field: value}, **needed_fields)
     assert report["config"] == asdict(expected)
     jsonschema.validate(report, SCHEMA)
 

@@ -34,9 +34,9 @@ from hefs.moo import FitnessPair
 from conftest import (
     force_tile_rows,
     make_dataset,
+    pass_rows,
     record_votes,
     tie_heavy_datasets,
-    tile_blocks,
 )
 
 
@@ -223,7 +223,7 @@ def test_evaluator_memoizes_by_mask():
     assert b.fitness is a.fitness
 
 
-def test_evaluator_distance_cache_is_bit_exact():
+def test_evaluator_accuracy_equals_cv_accuracy_bit_for_bit():
     rng = np.random.default_rng(13)
     ds = make_dataset(rng.normal(size=(60, 8)), rng.integers(0, 2, size=60))
     cond = ConditionalSet((1, 4), "file")
@@ -298,22 +298,22 @@ def test_batched_and_lone_evaluation_equal_cv_accuracy(tiled, case, rows):
         ev.evaluate_population(batch)
         batch_votes = len(voted)
         lone = [FitnessEvaluator(ds, cond, folds, cfg).evaluate(Individual(m.copy())) for m in masks]
-        blocks = {}
-        for ind in batch:
-            cols = [*cond.indices, *(residual[i] for i in np.flatnonzero(ind.mask))]
-            blocks[ind.mask.tobytes()] = [b.tobytes() for b in tile_blocks(ds, cols, folds)]
+        # each distinct mask's columns, in the order the batch first meets it
+        columns = {}
+        for m in masks:
+            columns.setdefault(m.tobytes(), [*cond.indices, *(residual[i] for i in np.flatnonzero(m))])
+        batch_rows = pass_rows(ds, folds, list(columns.values()))
+        lone_rows = [row for m in masks for row in pass_rows(ds, folds, [columns[m.tobytes()]])]
 
     for ind, alone in zip(batch, lone):
-        cols = [*cond.indices, *(residual[i] for i in np.flatnonzero(ind.mask))]
         # untiled here: these folds fit in one tile at the default size
-        assert ind.fitness.accuracy == cv_accuracy(ds, cols, folds, cfg.knn_k)
+        assert ind.fitness.accuracy == cv_accuracy(ds, columns[ind.mask.tobytes()], folds, cfg.knn_k)
         assert alone == ind.fitness
-    # a repeated mask is scored once per batch, once per tile, and every
-    # distance matrix voted on is a row block of the one cv_accuracy forms,
-    # bit for bit
-    n_tiles = len(next(iter(blocks.values())))
-    assert batch_votes == len({m.tobytes() for m in masks}) * n_tiles
-    assert set(voted) == {b for tiles in blocks.values() for b in tiles}
+    # a repeated mask is scored once per batch, each of its rows once, and
+    # every distance row voted on is the matching row of the matrix
+    # cv_accuracy forms, bit for bit, in fold, tile, set order
+    assert batch_votes == len(columns) * ds.n
+    assert voted == batch_rows + lone_rows
 
 
 # --- crossover -------------------------------------------------------------------

@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hefs.metrics
 from hefs import (
     FoldAssignment,
     MetricsReport,
@@ -27,9 +28,9 @@ from hefs.metrics import (
 from conftest import (
     force_tile_rows,
     make_dataset,
+    pass_rows,
     record_votes,
     tie_heavy_datasets,
-    tile_blocks,
 )
 
 
@@ -329,15 +330,14 @@ def test_full_metrics_one_pass_equals_one_pass_per_set(case, k, rows, data):
         voted = record_votes(mp)
         got = full_metrics(ds, base, sets, folds, k)
         tiled = _fold_votes(ds, folds, k, base, sets)
-        blocks = [tile_blocks(ds, cols, folds) for cols in summed]
+        per_pass = pass_rows(ds, folds, summed)
     for cols, m, w in zip(summed, got, want):
         assert m == w
         assert m.accuracy == cv_accuracy(ds, cols, folds, k)
     for got_votes, want_arr in zip(tiled, want_votes):
         np.testing.assert_array_equal(got_votes, want_arr)
-    # both passes vote fold by fold, tile by tile, set by set, each time on
-    # the row block of _sq_distances over base + sorted(extra), bit for bit
-    per_pass = [tiles[t].tobytes() for t in range(len(blocks[0])) for tiles in blocks]
+    # both passes vote fold by fold, tile by tile, set by set, each row on
+    # the row of _sq_distances over base + sorted(extra), bit for bit
     assert voted == per_pass * 2
 
 
@@ -353,11 +353,63 @@ def test_extra_set_order_changes_no_bit(case, k, rows, data):
         force_tile_rows(mp, folds, rows)
         voted = record_votes(mp)
         votes = _fold_votes(ds, folds, k, base, [h, h[::-1], sorted(h)])
+        per_pass = pass_rows(ds, folds, [[*base, *sorted(h)]] * 3)
     for arr in votes:
         np.testing.assert_array_equal(arr[0], arr[1])
         np.testing.assert_array_equal(arr[0], arr[2])
-    # each tile votes the three orders on the same distances, bit for bit
-    assert all(voted[t] == voted[t + 1] == voted[t + 2] for t in range(0, len(voted), 3))
+    # each tile votes the three orders on the same distances, bit for bit:
+    # the rows of _sq_distances over base + sorted(h)
+    assert voted == per_pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tie_heavy_datasets(), rows=st.integers(1, 3), data=st.data())
+def test_chunked_pass_equals_one_untiled_pass_per_set(case, rows, data):
+    # folds of 1..rows test rows, the last one short, each voted as one tile;
+    # the tile constant lets the largest fold vote per_call sets per k-NN call
+    # and smaller folds as many or more
+    ds, _ = case
+    k = data.draw(st.integers(1, ds.n))
+    order = data.draw(st.permutations(range(ds.n)))
+    fold_of = np.empty(ds.n, dtype=np.int64)
+    fold_of[order] = np.arange(ds.n) // min(rows, ds.n - 1)
+    folds = FoldAssignment(fold_of, int(fold_of.max()) + 1)
+    columns = st.integers(0, ds.d - 1)
+    base = data.draw(st.lists(columns, min_size=1, max_size=ds.d - 1, unique=True))
+    rest = st.sampled_from([j for j in range(ds.d) if j not in base])
+    sets = data.draw(st.lists(st.lists(rest, unique=True), min_size=1, max_size=4))
+    sets.insert(data.draw(st.integers(0, len(sets))), [])
+    sets.append(data.draw(st.sampled_from(sets)))
+    per_call = data.draw(st.integers(1, len(sets)))
+    summed = [[*base, *sorted(extra)] for extra in sets]
+    # references: one set per pass, each fold one tile at the default size
+    want = [_fold_votes(ds, folds, k, cols, [()]) for cols in summed]
+    tiles = [(folds.test_indices(f).size, folds.train_indices(f).size) for f in range(folds.n_folds)]
+    cells = max(test * train for test, train in tiles)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hefs.metrics, "_TILE_ELEMENTS", per_call * cells)
+        voted = record_votes(mp)
+        knn = hefs.metrics._knn_from_d2
+
+        def counting_knn(d2, *args):
+            calls.append(d2.shape[0])
+            return knn(d2, *args)
+
+        mp.setattr(hefs.metrics, "_knn_from_d2", counting_knn)
+        got = _fold_votes(ds, folds, k, base, sets)
+        per_pass = pass_rows(ds, folds, summed)
+    for s, (cols, ref) in enumerate(zip(summed, want)):
+        for got_arr, want_arr in zip(got, ref):
+            np.testing.assert_array_equal(got_arr[s], want_arr[0])
+        assert float(got[2][s].mean()) == cv_accuracy(ds, cols, folds, k)
+    assert voted == per_pass
+    # each fold votes its sets in chunks of cap // tile size, one call each
+    want_calls = []
+    for test, train in tiles:
+        per_fold = per_call * cells // (test * train)
+        want_calls += [min(per_fold, len(sets) - lo) * test for lo in range(0, len(sets), per_fold)]
+    assert calls == want_calls
 
 
 def test_uncached_pass_holds_less_than_one_fold_matrix():
