@@ -220,7 +220,10 @@ def _single_run(
         folds = run_fold_assignment(ds, cfg)
     except DatasetError as exc:  # ds is valid, so the fold count does not fit it
         raise ConfigError(f"--folds {cfg.n_folds}: {exc}") from exc
-    result = hefs_run(ds, conditional, cfg)
+    try:
+        result = hefs_run(ds, conditional, cfg)
+    except DatasetError as exc:  # only cluster reduction raises one here
+        raise ConfigError(f"--delta {cfg.cluster_delta} --folds {cfg.n_folds}: {exc}") from exc
     baseline_m, combined_m = full_metrics(
         ds, conditional.indices, [(), result.helper_indices], folds, cfg.knn_k
     )

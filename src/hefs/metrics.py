@@ -66,7 +66,10 @@ def _add_sq_distances(
     queries (d, n_queries) and train (d, n_train) hold one feature per row;
     scratch is an outs-shaped buffer the caller may reuse."""
     for j, outs in adds:
-        np.subtract(queries[j, :, None], train[j], out=scratch)
+        # a broadcast copy and an in-place subtract cost less than one
+        # subtract that broadcasts both operands, and give the same q - t
+        np.copyto(scratch, queries[j, :, None])
+        np.subtract(scratch, train[j], out=scratch)
         np.multiply(scratch, scratch, out=scratch)
         for out in outs:
             out += scratch
@@ -82,24 +85,28 @@ def _knn_from_d2(
     row position (lowest index first). Vote ties go to the lowest class id.
     When fewer than k training rows exist, all of them vote.
     """
-    k_eff = min(k, d2.shape[1])
+    nq, nt = d2.shape
+    k_eff = min(k, nt)
     # a copy, so the partitioned matrix is freed at once
     kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1 : k_eff].copy()
-    sel = d2 <= kth
+    hit = np.flatnonzero(d2 <= kth)
+    row = hit // nt
+    n_sel = np.bincount(row, minlength=nq)
     # a query with more training rows at the k-th distance than free slots
     # admits the lowest-index ones only; every other query already selects
-    # exactly k_eff rows
-    tied = np.flatnonzero(np.count_nonzero(sel, axis=1) > k_eff)
-    if tied.size:
-        rows, kth_t = d2[tied], kth[tied]
-        closer = rows < kth_t
-        at_kth = rows == kth_t
-        need = k_eff - closer.sum(axis=1, keepdims=True)
-        sel[tied] = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= need))
-    nq, nt = d2.shape
-    hit = np.flatnonzero(sel)
+    # exactly k_eff rows. hit is ascending, so a tied row's cells at the
+    # k-th distance come in column order, and their rank is their place
+    # after the row's first such cell
+    if n_sel.max(initial=0) > k_eff:
+        over = np.flatnonzero(n_sel[row] > k_eff)  # the tied rows' hits
+        at = over[d2.reshape(-1)[hit[over]] == kth[row[over], 0]]
+        at_row = row[at]
+        rank = np.arange(at.size) - np.searchsorted(at_row, at_row)
+        closer = n_sel - np.bincount(at_row, minlength=nq)
+        drop = at[rank >= k_eff - closer[at_row]]
+        hit, row = np.delete(hit, drop), np.delete(row, drop)
     # every row selects exactly k_eff training rows; count (row, class) pairs
-    counts = np.bincount(hit // nt * n_classes + train_y[hit % nt], minlength=nq * n_classes)
+    counts = np.bincount(row * n_classes + train_y[hit - row * nt], minlength=nq * n_classes)
     counts = counts.reshape(nq, n_classes)
     preds = np.argmax(counts, axis=1)
     pos_frac = counts[:, 1] / k_eff if n_classes >= 2 else np.zeros(nq)

@@ -154,6 +154,11 @@ def test_cli_config_errors_exit_2(tmp_path, cond_file, capsys):
     assert run(data + ["--folds", "6"]) == 2
     err = capsys.readouterr().err
     assert "--folds 6" in err and "class 'u' has 5" in err
+    # a --delta that clusters too few rows per class for --folds names both
+    assert run(["--synth", "xor", "--n", "40", "--d", "4", "--cond-size", "1", "--pop", "4",
+                "--iters", "1", "--delta", "0.7", "--cluster-reduce", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--delta 0.7 --folds 5:" in err and "reduced 40 rows to 6 clusters" in err
     # a label column the file does not have, by name or by index
     missing = ["--dataset", str(three), "--cond-size", "1", "--out", str(out), "--label-col"]
     assert run(missing + ["z"]) == 2
@@ -176,13 +181,6 @@ def test_cli_data_errors_exit_1(tmp_path, capsys):
     assert run(["--dataset", str(single), "--label-col", "y"]) == 1
 
     assert run(SMALL_SYNTH + ["--baseline", f"file:{tmp_path / 'no.txt'}"]) == 1
-    capsys.readouterr()
-
-    # clustering this coarse leaves too few rows of a class for the folds
-    assert run(["--synth", "xor", "--n", "60", "--d", "6", "--cond-size", "2",
-                "--cluster-reduce", "--delta", "1.0", "--out", str(tmp_path / "c.json")]) == 1
-    err = capsys.readouterr().err
-    assert "delta=1.0" in err and "60 rows to" in err and "clusters" in err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])

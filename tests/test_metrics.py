@@ -37,27 +37,37 @@ from conftest import (
 # --- reference implementations used as oracles ------------------------------
 
 
+def oracle_votes(d2, train_y, k, n_classes):
+    """Per row of a distance matrix: neighbors sorted by (distance, column),
+    the first k vote, and a vote tie goes to the lowest class id. Returns
+    (preds, class-1 shares)."""
+    k_eff = min(k, d2.shape[1])
+    preds, shares = [], []
+    for row in d2.tolist():
+        order = sorted(range(len(row)), key=lambda c: (row[c], c))[:k_eff]
+        counts = [0] * n_classes
+        for c in order:
+            counts[int(train_y[c])] += 1
+        preds.append(max(range(n_classes), key=lambda c: (counts[c], -c)))
+        shares.append(counts[1] / k_eff if n_classes >= 2 else 0.0)
+    return preds, shares
+
+
 def oracle_knn(train_x, train_y, query, k, n_classes):
     """Slow nearest-neighbor vote with the documented tie rules.
 
     Distances accumulate per column in the same order as production code so
-    exact ties agree; neighbors sort by (distance, training position) and a
-    vote tie goes to the lowest class id. Returns (prediction, class-1 share).
+    exact ties agree, then oracle_votes votes them. Returns (prediction,
+    class-1 share).
     """
-    k_eff = min(k, len(train_x))
     d2 = []
-    for pos, row in enumerate(train_x):
+    for row in train_x:
         acc = 0.0
         for a, b in zip(query, row):
             diff = float(a) - float(b)
             acc += diff * diff
-        d2.append((acc, pos))
-    neighbors = [pos for _, pos in sorted(d2)[:k_eff]]
-    counts = [0] * n_classes
-    for pos in neighbors:
-        counts[int(train_y[pos])] += 1
-    pred = max(range(n_classes), key=lambda c: (counts[c], -c))
-    share = counts[1] / k_eff if n_classes >= 2 else 0.0
+        d2.append(acc)
+    [pred], [share] = oracle_votes(np.array([d2]), train_y, k, n_classes)
     return pred, share
 
 
@@ -161,6 +171,83 @@ def test_knn_scale_invariance_on_exact_values():
         assert knn_predict(train, labels, query, 5) == knn_predict(
             2.5 * train, labels, 2.5 * query, 5
         )
+
+
+@st.composite
+def vote_matrices(draw):
+    """(d2, train_y, k, n_classes): integer-valued rows of three kinds in one
+    matrix, tied at small levels, tied across the whole row, or all distinct;
+    2-4 classes and k from 1 to past the training rows."""
+    n_train = draw(st.integers(1, 12))
+    n_classes = draw(st.integers(2, 4))
+    kinds = st.lists(st.sampled_from(["levels", "whole", "distinct"]), min_size=1, max_size=8)
+    rows = []
+    for kind in draw(kinds):
+        if kind == "levels":
+            top = draw(st.integers(1, 3))
+            rows.append(draw(st.lists(st.integers(0, top), min_size=n_train, max_size=n_train)))
+        elif kind == "whole":
+            rows.append([draw(st.integers(0, 5))] * n_train)
+        else:
+            rows.append(draw(st.permutations(range(n_train))))
+    train_y = draw(st.lists(st.integers(0, n_classes - 1), min_size=n_train, max_size=n_train))
+    k = draw(st.integers(1, n_train + 3))
+    return np.array(rows, dtype=np.float64), np.array(train_y), k, n_classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=vote_matrices())
+def test_knn_from_d2_matches_per_row_sort(case):
+    # tied and untied rows share one call, so a tie-break that leaks from one
+    # row into another would show
+    d2, train_y, k, n_classes = case
+    preds, pos_frac = _knn_from_d2(d2, train_y, k, n_classes)
+    want_preds, want_shares = oracle_votes(d2, train_y, k, n_classes)
+    assert preds.tolist() == want_preds
+    assert pos_frac.tolist() == want_shares
+
+
+# --- squared distances -----------------------------------------------------------
+
+
+def oracle_sq_distances(queries, train):
+    """Squared distances from zeros, one column at a time, with numpy's own
+    broadcast subtract: independent of the production column kernel."""
+    acc = np.zeros((queries.shape[0], train.shape[0]))
+    for j in range(queries.shape[1]):
+        d = queries[:, None, j] - train[None, :, j]
+        acc = acc + d * d
+    return acc
+
+
+@st.composite
+def distance_inputs(draw):
+    """(queries, train) over a small pool of values, so rows and cells repeat:
+    signed zeros, inexact scales, and magnitudes from 1e-150 to 1e150."""
+    scale = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+    value = st.builds(
+        lambda sign, m, e: sign * m * scale * 10.0**e,
+        st.sampled_from([1.0, -1.0]),
+        st.integers(0, 7),
+        st.one_of(st.sampled_from([-150, 0, 150]), st.integers(-150, 150)),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=5))
+    d = draw(st.integers(1, 6))
+    n_q, n_t = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    size = (n_q + n_t) * d
+    x = np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    x = x.reshape(n_q + n_t, d)
+    return x[:n_q], x[n_q:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=distance_inputs())
+def test_sq_distances_equal_a_column_by_column_oracle(case):
+    # every k-NN pass test takes its reference rows from _sq_distances, so
+    # this pins the kernel they share to a sum that does not use it
+    queries, train = case
+    got = _sq_distances(queries, train)
+    assert got.tobytes() == oracle_sq_distances(queries, train).tobytes()
 
 
 # --- cross-validated accuracy ---------------------------------------------------
@@ -412,7 +499,7 @@ def test_chunked_pass_equals_one_untiled_pass_per_set(case, rows, data):
     assert calls == want_calls
 
 
-def test_uncached_pass_holds_less_than_one_fold_matrix():
+def test_cv_accuracy_pass_holds_less_than_one_fold_matrix():
     # the pass keeps tile-sized buffers, so its peak stays under a single
     # fold's distance matrix however large n grows
     rng = np.random.default_rng(0)
