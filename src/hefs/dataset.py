@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -148,73 +151,82 @@ def load_csv(path: str | Path, label_column: str | int) -> Dataset:
     and the argument looks like an integer, it is taken as a 0-based column
     index. Labels may be arbitrary strings and are encoded as dense integers
     in first-appearance order. All other cells must parse as finite floats.
-    A fault names its row by file line, as csv.reader counts them.
+    A fault names its row by file line, as csv.reader counts them. A ragged
+    row or an unparsable cell is reported at its row; the first non-finite
+    cell is reported only once the whole file has parsed. A UTF-8 byte-order
+    mark before the header is dropped.
+
+    Rows are streamed: each row's feature cells go straight into one growing
+    float64 buffer, which becomes the feature matrix without a copy, so no
+    per-cell Python object outlives its row.
     """
     p = Path(path)
     if not p.is_file():
         raise DatasetError(f"dataset file not found: {p}")
-    with open(p, newline="") as fh:
+    with open(p, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if len(rows) < 2:
-        raise DatasetError(f"{p}: need a header row and at least one data row")
+        rows = ((reader.line_num, row) for row in reader if row)
+        first_two = list(itertools.islice(rows, 2))
+        if len(first_two) < 2:
+            raise DatasetError(f"{p}: need a header row and at least one data row")
+        (_, header_row), first_data = first_two
 
-    header = [h.strip() for h in rows[0][1]]
-    if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        raise DatasetError(f"{p}: duplicate column names {dupes}")
+        header = [h.strip() for h in header_row]
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise DatasetError(f"{p}: duplicate column names {dupes}")
+        try:
+            label_idx = _column_index(header, label_column)
+        except ValueError as exc:
+            raise LabelColumnError(f"{p}: {exc}") from None
+        feature_names = header[:label_idx] + header[label_idx + 1 :]
 
-    try:
-        label_idx = _column_index(header, label_column)
-    except ValueError as exc:
-        raise LabelColumnError(f"{p}: {exc}") from None
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-
-    n_cols = len(header)
-    feature_rows: list[list[float]] = []
-    raw_labels: list[str] = []
-    for r, row in rows[1:]:
-        if len(row) != n_cols:
-            raise DatasetError(f"{p}: row {r} has {len(row)} cells, expected {n_cols}")
-        vals = []
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                raw_labels.append(cell.strip())
-                continue
+        n_cols = len(header)
+        values = array("d")
+        codes = array("q")
+        code_of: dict[str, int] = {}
+        non_finite = None  # the first non-finite cell's message
+        for r, row in itertools.chain([first_data], rows):
+            if len(row) != n_cols:
+                raise DatasetError(f"{p}: row {r} has {len(row)} cells, expected {n_cols}")
+            codes.append(code_of.setdefault(row.pop(label_idx).strip(), len(code_of)))
             try:
-                vals.append(float(cell))
+                cells = list(map(float, row))
             except ValueError:
+                j = next(j for j, cell in enumerate(row) if not _parses(cell))
                 raise DatasetError(
-                    f"{p}: row {r}, column {header[c]!r}: cannot parse {cell.strip()!r} as a number"
+                    f"{p}: row {r}, column {feature_names[j]!r}: "
+                    f"cannot parse {row[j].strip()!r} as a number"
                 ) from None
-        feature_rows.append(vals)
-    features = np.asarray(feature_rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        i, j = bad[0]
-        c = [c for c in range(n_cols) if c != label_idx][j]
-        r, row = rows[i + 1]
-        raise DatasetError(
-            f"{p}: row {r}, column {header[c]!r}: non-finite value {row[c].strip()!r}"
-        )
-
-    label_values: list[str] = []
-    code_of: dict[str, int] = {}
-    codes = np.empty(len(raw_labels), dtype=np.int64)
-    for i, lab in enumerate(raw_labels):
-        if lab not in code_of:
-            code_of[lab] = len(label_values)
-            label_values.append(lab)
-        codes[i] = code_of[lab]
-    if len(label_values) < 2:
-        raise DatasetError(f"{p}: dataset has a single class {label_values[0]!r}")
+            # a sum is non-finite when a term is, and rarely when none is
+            if non_finite is None and not math.isfinite(sum(cells)):
+                bad = [j for j, x in enumerate(cells) if not math.isfinite(x)]
+                if bad:
+                    j = bad[0]
+                    non_finite = (
+                        f"{p}: row {r}, column {feature_names[j]!r}: "
+                        f"non-finite value {row[j].strip()!r}"
+                    )
+            values.extend(cells)
+    if non_finite is not None:
+        raise DatasetError(non_finite)
+    if len(code_of) < 2:
+        raise DatasetError(f"{p}: dataset has a single class {next(iter(code_of))!r}")
 
     return Dataset(
-        features=features,
-        labels=codes,
+        features=np.frombuffer(values, dtype=np.float64).reshape(len(codes), len(feature_names)),
+        labels=np.frombuffer(codes, dtype=np.int64),
         feature_names=tuple(feature_names),
-        label_values=tuple(label_values),
+        label_values=tuple(code_of),
     )
+
+
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _column_index(names: Sequence[str], entry: str | int) -> int:
@@ -239,7 +251,8 @@ def zscore_normalize(ds: Dataset) -> Dataset:
     mean = ds.features.mean(axis=0)
     std = ds.features.std(axis=0)
     safe = np.where(std == 0.0, 1.0, std)
-    out = (ds.features - mean) / safe
+    out = ds.features - mean
+    out /= safe
     out[:, std == 0.0] = 0.0
     return Dataset(out, ds.labels, ds.feature_names, ds.label_values)
 

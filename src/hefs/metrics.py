@@ -66,13 +66,19 @@ def _add_sq_distances(
     queries (d, n_queries) and train (d, n_train) hold one feature per row;
     scratch is an outs-shaped buffer the caller may reuse."""
     for j, outs in adds:
-        # a broadcast copy and an in-place subtract cost less than one
-        # subtract that broadcasts both operands, and give the same q - t
-        np.copyto(scratch, queries[j, :, None])
-        np.subtract(scratch, train[j], out=scratch)
-        np.multiply(scratch, scratch, out=scratch)
+        _form_sq_distances(queries, train, j, scratch)
         for out in outs:
             out += scratch
+
+
+def _form_sq_distances(queries: np.ndarray, train: np.ndarray, j: int, out: np.ndarray) -> None:
+    """Write column j's squared query-train differences into out, whose
+    last two axes are (n_queries, n_train)."""
+    # a broadcast copy and an in-place subtract cost less than one
+    # subtract that broadcasts both operands, and give the same q - t
+    np.copyto(out, queries[j, :, None])
+    np.subtract(out, train[j], out=out)
+    np.multiply(out, out, out=out)
 
 
 def _knn_from_d2(
@@ -141,7 +147,8 @@ def _fold_votes(
     votes its test rows in tiles of max(1, _TILE_ELEMENTS // train.size).
     Each extra set has a tile buffer, and the buffers lie back to back,
     (len(extra_sets), rows, train). Per tile, base's squared distances are
-    summed in the given order into the first set's buffer, and this prefix
+    summed in the given order into the first set's buffer, its first column
+    formed there in place (an empty base leaves zeros), and this prefix
     is copied into every other set's. Then each column of the extra sets'
     union, in ascending order, forms its squared differences once and adds
     them to every set that holds it; an empty extra set keeps the prefix.
@@ -184,8 +191,13 @@ def _fold_votes(
             # the first set's buffer, none when there are no sets, takes the prefix
             first = d2s[:1]
             queries = test_x[:, lo : lo + step]
-            first.fill(0.0)
-            _add_sq_distances(queries, train_x, [(j, first) for j in base], scratch)
+            # 0.0 + x == x for every square, so forming base's first column
+            # in place gives the bits of adding it to zeros
+            if len(base):
+                _form_sq_distances(queries, train_x, base[0], first)
+            else:
+                first.fill(0.0)
+            _add_sq_distances(queries, train_x, [(j, first) for j in base[1:]], scratch)
             d2s[1:] = first
             views = list(d2s)  # one view per set, not one per (column, holder)
             adds = [(j, [views[s] for s in held]) for j, held in columns]

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,53 @@ def test_load_csv_header_only(tmp_path):
     p = _write(tmp_path, "a,b,y\n")
     with pytest.raises(DatasetError, match="header row and at least one data row"):
         load_csv(p, "y")
+
+
+def test_load_csv_header_only_outranks_duplicate_names(tmp_path):
+    p = _write(tmp_path, "a,a,y\n\n")
+    with pytest.raises(DatasetError, match="header row and at least one data row"):
+        load_csv(p, "y")
+
+
+def test_load_csv_unparsable_cell_outranks_an_earlier_non_finite_one(tmp_path):
+    # a non-finite cell is reported only once the whole file has parsed
+    p = _write(tmp_path, "a,b,y\n1,inf,u\n2,3,v\n4,oops,u\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{p}: row 4, column 'b': cannot parse 'oops'")):
+        load_csv(p, "y")
+
+
+def test_load_csv_reports_the_first_non_finite_cell(tmp_path):
+    # 1e308 + 1e308 overflows a row sum, yet each cell is finite
+    p = _write(tmp_path, "a,b,y\n1e308,1e308,u\n2,1e999,v\n-inf,3,u\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{p}: row 3, column 'b': non-finite value '1e999'")):
+        load_csv(p, "y")
+
+
+def test_load_csv_drops_a_utf8_byte_order_mark(tmp_path):
+    # as spreadsheet programs write "CSV UTF-8"
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfy,a,b\nu,1,2\nv,3,4\n")
+    ds = load_csv(p, "y")
+    assert ds.feature_names == ("a", "b")
+    assert ds.label_values == ("u", "v")
+    np.testing.assert_array_equal(ds.features, [[1, 2], [3, 4]])
+
+
+def test_load_csv_peak_memory_stays_near_the_feature_matrix(tmp_path):
+    n, d = 200, 2000
+    cells = np.random.default_rng(0).integers(0, 1000, size=(n, d))
+    lines = [",".join([*(f"f{j}" for j in range(d)), "y"])]
+    lines += [",".join([*map(str, row), "ab"[i % 2]]) for i, row in enumerate(cells.tolist())]
+    p = _write(tmp_path, "\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        ds = load_csv(p, "y")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(ds.features, cells)
+    assert peak < 2 * ds.features.nbytes
 
 
 # --- z-score normalization -------------------------------------------------
