@@ -92,7 +92,8 @@ def load_conditional(path: str | Path, ds: Dataset) -> ConditionalSet:
     if not p.is_file():
         raise DatasetError(f"conditional set file not found: {p}")
     indices: list[int] = []
-    with open(p) as fh:
+    # utf-8-sig drops a byte-order mark, which would otherwise join the first name
+    with open(p, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             entry = raw.split("#", 1)[0].strip()
             if not entry:

@@ -34,11 +34,27 @@ class MetricsReport:
 
 
 # distance cells voted at a time: a fold's test rows go through in tiles of
-# max(1, _TILE_ELEMENTS // train.size) rows, and a tile's sets go to k-NN in
-# chunks of max(1, _TILE_ELEMENTS // tile.size), so a tile's buffers and the
-# partition stay in cache instead of streaming a whole fold matrix, and a
-# small tile votes many sets per call instead of paying dispatch per set
+# at most max(1, _TILE_ELEMENTS // train.size) rows, and a tile's sets go to
+# k-NN in chunks of max(1, _TILE_ELEMENTS // tile.size), so a tile's buffers
+# and the partition stay in cache instead of streaming a whole fold matrix,
+# and a small tile votes many sets per call instead of paying dispatch per set
 _TILE_ELEMENTS = 32 * 1600
+# distance cells a pass's 1 + sets tile buffers share (2 MB, one core's L2):
+# tiles get thinner as a pass votes more sets, so its memory stops growing
+# with the population size
+_PASS_ELEMENTS = 5 * _TILE_ELEMENTS
+# the thinnest tile the pass budget may ask for: thinner tiles pay more
+# Python and ufunc dispatch per distance than the memory they save
+_MIN_TILE_ROWS = 16
+
+
+def _tile_rows(train_size: int, n_sets: int) -> int:
+    """Test rows per tile of a fold with train_size training rows, in a pass
+    that votes n_sets sets."""
+    return min(
+        max(1, _TILE_ELEMENTS // train_size),
+        max(_MIN_TILE_ROWS, _PASS_ELEMENTS // ((1 + n_sets) * train_size)),
+    )
 
 
 def _sq_distances(queries: np.ndarray, train: np.ndarray) -> np.ndarray:
@@ -143,53 +159,80 @@ def _fold_votes(
     out-of-fold predictions and class-1 vote fractions, each (len(extra_sets),
     n), and per-fold accuracies, (len(extra_sets), n_folds).
 
-    Each fold gathers its test and train rows once, one feature per row, and
-    votes its test rows in tiles of max(1, _TILE_ELEMENTS // train.size).
-    Each extra set has a tile buffer, and the buffers lie back to back,
-    (len(extra_sets), rows, train). Per tile, base's squared distances are
-    summed in the given order into the first set's buffer, its first column
-    formed there in place (an empty base leaves zeros), and this prefix
-    is copied into every other set's. Then each column of the extra sets'
-    union, in ascending order, forms its squared differences once and adds
-    them to every set that holds it; an empty extra set keeps the prefix.
-    So every voted matrix is a row block of the float64 sum that
-    _sq_distances forms over base + sorted(extra), from zero, and the order
-    of an extra set changes no bit. The sets are voted in chunks of
-    max(1, _TILE_ELEMENTS // tile.size), one _knn_from_d2 call per chunk on
-    its (sets * rows, train) rows; a vote reads its own row only, so
-    chunking changes no vote. Correct votes are counted per chunk and
-    divided once by the fold's test size. A pass holds 1 + len(extra_sets)
-    tile buffers, a scratch one and the sets', and nothing that grows with
-    n squared.
+    Each fold gathers from ds.features only the columns the pass reads, base
+    and the extra sets' union, one feature per row, and votes its test rows in
+    tiles of _tile_rows(train.size, len(extra_sets)). Each extra set has a
+    tile buffer, and the buffers lie back to back, (len(extra_sets), rows,
+    train). Per tile, base's squared distances are summed in the given order
+    into the first set's buffer, its first column formed there in place (an
+    empty base leaves zeros), and this prefix is copied into every other
+    set's. Then each column of the extra sets' union, in ascending order,
+    forms its squared differences once and adds them to every set that holds
+    it; an empty extra set keeps the prefix. So every voted matrix is a row
+    block of the float64 sum that _sq_distances forms over base +
+    sorted(extra), from zero, and the order of an extra set changes no bit.
+    The sets are voted in chunks of max(1, _TILE_ELEMENTS // tile.size), one
+    _knn_from_d2 call per chunk on its (sets * rows, train) rows; a vote reads
+    its own row only, so neither the tile height nor chunking changes a vote.
+    Correct votes are counted per chunk and divided once by the fold's test
+    size.
+
+    Memory: the 1 + len(extra_sets) tile buffers, a scratch one and the
+    sets', share one allocation of at most max(_PASS_ELEMENTS, (1 +
+    len(extra_sets)) * _MIN_TILE_ROWS * train) float64 cells, so they grow
+    with the number of sets only once the row floor binds. Beside them a
+    pass holds one fold's gather of the columns it reads, one k-NN chunk's
+    working copies, and the outputs, which grow with sets * n. Nothing grows
+    with n squared.
     """
     pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
     n_sets = len(extra_sets)
     preds = np.empty((n_sets, ds.n), dtype=np.int64)
     pos_frac = np.empty((n_sets, ds.n), dtype=np.float64)
     fold_acc = np.empty((n_sets, folds.n_folds), dtype=np.float64)
+    # a fold gathers only the columns the pass reads, ascending, so a column
+    # is read from its rank there; ranks keep base's given order and the
+    # extra sets' ascending one
+    used = sorted(set(map(int, base)).union(*(map(int, extra) for extra in extra_sets)))
+    rank = {j: i for i, j in enumerate(used)}
+    used = np.array(used, dtype=np.intp)
+    base = [rank[int(j)] for j in base]
     # each column of the extra sets' union, ascending, with the sets holding it
     holders: dict[int, list[int]] = {}
     for s, extra in enumerate(extra_sets):
         for j in extra:
-            holders.setdefault(int(j), []).append(s)
+            holders.setdefault(rank[int(j)], []).append(s)
     columns = sorted(holders.items())
-    steps = [max(1, _TILE_ELEMENTS // train.size) for _, train in pairs]
+    steps = [_tile_rows(train.size, n_sets) for _, train in pairs]
     # one allocation for the whole pass: buffers of slightly different
     # shapes, allocated and freed tile by tile, fragment the heap and raise
     # peak memory from one run to the next
     size = max(min(step, test.size) * train.size for step, (test, train) in zip(steps, pairs))
     flat = np.empty((1 + n_sets) * size)
+    # each tile shape's views, add lists and vote chunks, built on first use;
+    # keyed by shape, since tiles of equal cells may differ in shape
+    plans: dict[tuple[int, int], tuple] = {}
     for f, ((test, train), step) in enumerate(zip(pairs, steps)):
-        test_x, train_x = ds.features[test].T.copy(), ds.features[train].T.copy()
+        test_x, train_x = ds.features.T[used[:, None], test], ds.features.T[used[:, None], train]
         train_y = ds.labels[train]
         hits = np.zeros(n_sets, dtype=np.int64)
         for lo in range(0, test.size, step):
             rows = test[lo : lo + step]
-            cells = rows.size * train.size
-            tiles = flat[: (1 + n_sets) * cells].reshape(1 + n_sets, rows.size, train.size)
-            scratch, d2s = tiles[0], tiles[1:]
-            # the first set's buffer, none when there are no sets, takes the prefix
-            first = d2s[:1]
+            shape = (rows.size, train.size)
+            if shape not in plans:
+                cells = rows.size * train.size
+                tiles = flat[: (1 + n_sets) * cells].reshape(1 + n_sets, *shape)
+                scratch, d2s = tiles[0], tiles[1:]
+                # the first set's buffer, none when there are no sets, takes the prefix
+                first = d2s[:1]
+                views = list(d2s)  # one view per set, not one per (column, holder)
+                base_adds = [(j, first) for j in base[1:]]
+                adds = [(j, [views[s] for s in held]) for j, held in columns]
+                chunk = max(1, _TILE_ELEMENTS // cells)
+                sets = [slice(lo_set, lo_set + chunk) for lo_set in range(0, n_sets, chunk)]
+                chunks = [(sl, d2s[sl].reshape(-1, train.size)) for sl in sets]
+                plans[shape] = (scratch, d2s, first, base_adds, adds, chunks)
+            scratch, d2s, first, base_adds, adds, chunks = plans[shape]
             queries = test_x[:, lo : lo + step]
             # 0.0 + x == x for every square, so forming base's first column
             # in place gives the bits of adding it to zeros
@@ -197,16 +240,12 @@ def _fold_votes(
                 _form_sq_distances(queries, train_x, base[0], first)
             else:
                 first.fill(0.0)
-            _add_sq_distances(queries, train_x, [(j, first) for j in base[1:]], scratch)
+            _add_sq_distances(queries, train_x, base_adds, scratch)
             d2s[1:] = first
-            views = list(d2s)  # one view per set, not one per (column, holder)
-            adds = [(j, [views[s] for s in held]) for j, held in columns]
             _add_sq_distances(queries, train_x, adds, scratch)
             test_y = ds.labels[rows]
-            chunk = max(1, _TILE_ELEMENTS // cells)
-            for lo_set in range(0, n_sets, chunk):
-                sets = slice(lo_set, lo_set + chunk)
-                p, frac = _knn_from_d2(d2s[sets].reshape(-1, train.size), train_y, k, ds.n_classes)
+            for sets, block in chunks:
+                p, frac = _knn_from_d2(block, train_y, k, ds.n_classes)
                 p = p.reshape(-1, rows.size)
                 preds[sets, rows], pos_frac[sets, rows] = p, frac.reshape(p.shape)
                 hits[sets] += (p == test_y).sum(axis=1)

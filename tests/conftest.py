@@ -42,20 +42,24 @@ def tie_heavy_datasets(draw):
 
 def force_tile_rows(mp, folds, rows):
     """Patch the tile constant so every fold votes in tiles of 1..rows test
-    rows: exactly rows where the training side is smallest."""
+    rows: exactly rows where the training side is smallest. The pass budget
+    never cuts below its row floor, so any number of sets keeps these tiles."""
     min_train = min(folds.train_indices(f).size for f in range(folds.n_folds))
     mp.setattr(hefs.metrics, "_TILE_ELEMENTS", rows * min_train)
+    assert rows <= hefs.metrics._MIN_TILE_ROWS
+    assert hefs.metrics._tile_rows(min_train, 1) == rows
 
 
-def tile_blocks(ds, cols, folds):
+def tile_blocks(ds, cols, folds, n_sets):
     """Each fold's _sq_distances(x[test], x[train]) over cols, cut into the row
-    blocks of the current tile constant: the matrices a k-NN pass votes on."""
+    blocks the library's tile rule gives a pass of n_sets sets: the matrices a
+    k-NN pass votes on."""
     x = ds.features[:, cols]
     blocks = []
     for f in range(folds.n_folds):
         test, train = folds.test_indices(f), folds.train_indices(f)
         full = _sq_distances(x[test], x[train])
-        step = max(1, hefs.metrics._TILE_ELEMENTS // train.size)
+        step = hefs.metrics._tile_rows(train.size, n_sets)
         blocks += [full[lo : lo + step] for lo in range(0, test.size, step)]
     return blocks
 
@@ -63,7 +67,7 @@ def tile_blocks(ds, cols, folds):
 def pass_rows(ds, folds, col_sets):
     """The bytes of every distance row a k-NN pass over col_sets votes on, in
     its order: fold by fold, tile by tile, set by set, row by row."""
-    blocks = [tile_blocks(ds, cols, folds) for cols in col_sets]
+    blocks = [tile_blocks(ds, cols, folds, len(col_sets)) for cols in col_sets]
     return [row.tobytes() for t in range(len(blocks[0])) for tiles in blocks for row in tiles[t]]
 
 

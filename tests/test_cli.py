@@ -183,6 +183,17 @@ def test_cli_data_errors_exit_1(tmp_path, capsys):
     assert run(SMALL_SYNTH + ["--baseline", f"file:{tmp_path / 'no.txt'}"]) == 1
 
 
+def test_cli_conditional_file_with_byte_order_mark(tmp_path):
+    # a file saved as UTF-8 with a byte-order mark: the mark must not join
+    # the first name
+    cond = tmp_path / "cond.txt"
+    cond.write_bytes("f0\nf3\n".encode("utf-8-sig"))
+    out = tmp_path / "r.json"
+    assert run(SMALL_SYNTH + ["--baseline", f"file:{cond}", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["conditional_set"]["names"] == ["f0", "f3"]
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
 def test_cli_non_finite_cell_names_file_row_and_column(tmp_path, capsys, cell):
     data = tmp_path / "bad.csv"

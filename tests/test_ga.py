@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hefs.metrics
 from hefs import (
     ConditionalSet,
     ConfigError,
@@ -262,6 +263,38 @@ def test_evaluator_pass_holds_tile_buffers_only():
         tracemalloc.stop()
     assert all(ind.fitness is not None for ind in population)
     assert peak < 2 * fold_bytes
+
+
+@pytest.mark.parametrize("n_genomes", [8, 64])
+def test_evaluator_pass_stays_within_its_memory_bound(n_genomes):
+    # the tile buffers share the pass budget until the row floor binds; the
+    # rest is one k-NN chunk's working copies, the fold gathers of the columns
+    # read and the (sets, n) outputs
+    rng = np.random.default_rng(0)
+    n, d = 1500, 12
+    ds = make_dataset(rng.normal(size=(n, d)), rng.integers(0, 2, n))
+    cfg = GAConfig()
+    folds = run_fold_assignment(ds, cfg)
+    ev = FitnessEvaluator(ds, ConditionalSet((0, 1), "file"), folds, cfg)
+    masks = {}
+    while len(masks) < n_genomes:
+        m = rng.random(d - 2) < 0.5
+        if m.any():
+            masks[m.tobytes()] = m
+    population = [Individual(m) for m in masks.values()]
+    train = max(folds.train_indices(f).size for f in range(folds.n_folds))
+    floor = hefs.metrics._MIN_TILE_ROWS
+    tiles = 8 * max(hefs.metrics._PASS_ELEMENTS, (1 + n_genomes) * floor * train)
+    knn = 2 * 8 * max(hefs.metrics._TILE_ELEMENTS, train)
+    gathers, outputs = 8 * n * d, 16 * n_genomes * n
+    tracemalloc.start()
+    try:
+        ev.evaluate_population(population)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(ind.fitness is not None for ind in population)
+    assert peak < tiles + knn + gathers + outputs
 
 
 @st.composite

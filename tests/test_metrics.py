@@ -499,6 +499,57 @@ def test_chunked_pass_equals_one_untiled_pass_per_set(case, rows, data):
     assert calls == want_calls
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=tie_heavy_datasets(), rows=st.integers(1, 3), data=st.data())
+def test_budgeted_pass_equals_one_untiled_pass_per_set(case, rows, data):
+    # the pass budget, not the tile constant, cuts the tiles: with the budget
+    # and the row floor patched down, each fold votes 2-8 sets in tiles of
+    # 1..rows test rows, exactly rows where the training side is smallest
+    ds, folds = case
+    k = data.draw(st.integers(1, ds.n))
+    columns = st.integers(0, ds.d - 1)
+    base = data.draw(st.lists(columns, max_size=ds.d - 1, unique=True))
+    rest = st.sampled_from([j for j in range(ds.d) if j not in base])
+    sets = data.draw(st.lists(st.lists(rest, unique=True), min_size=2, max_size=8))
+    summed = [[*base, *sorted(extra)] for extra in sets]
+    # references: one set per pass, each fold one tile at the default sizes
+    want = [_fold_votes(ds, folds, k, cols, [()]) for cols in summed]
+    min_train = min(folds.train_indices(f).size for f in range(folds.n_folds))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hefs.metrics, "_MIN_TILE_ROWS", 1)
+        mp.setattr(hefs.metrics, "_PASS_ELEMENTS", rows * (1 + len(sets)) * min_train)
+        assert hefs.metrics._tile_rows(min_train, len(sets)) == rows
+        voted = record_votes(mp)
+        got = _fold_votes(ds, folds, k, base, sets)
+        per_pass = pass_rows(ds, folds, summed)
+    for s, ref in enumerate(want):
+        for got_arr, want_arr in zip(got, ref):
+            np.testing.assert_array_equal(got_arr[s], want_arr[0])
+    # every row voted is the row of _sq_distances over base + sorted(extra),
+    # bit for bit, in fold, tile, set order
+    assert voted == per_pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tie_heavy_datasets(), data=st.data())
+def test_pass_reads_only_its_columns(case, data):
+    # every column outside base and the extra sets is NaN: a read of one
+    # would change votes, and any arithmetic on it would raise a warning
+    ds, folds = case
+    k = data.draw(st.integers(1, ds.n))
+    columns = st.integers(0, ds.d - 1)
+    base = data.draw(st.lists(columns, max_size=ds.d - 1, unique=True))
+    sets = data.draw(st.lists(st.lists(columns, unique=True), min_size=1, max_size=4))
+    want = _fold_votes(ds, folds, k, base, sets)
+    unused = sorted(set(range(ds.d)) - set(base).union(*sets))
+    poisoned = make_dataset(ds.features, ds.labels)
+    features = poisoned.features.copy()
+    features[:, unused] = np.nan
+    object.__setattr__(poisoned, "features", features)
+    for got_arr, want_arr in zip(_fold_votes(poisoned, folds, k, base, sets), want):
+        np.testing.assert_array_equal(got_arr, want_arr)
+
+
 def test_cv_accuracy_pass_holds_less_than_one_fold_matrix():
     # the pass keeps tile-sized buffers, so its peak stays under a single
     # fold's distance matrix however large n grows
@@ -515,6 +566,22 @@ def test_cv_accuracy_pass_holds_less_than_one_fold_matrix():
     finally:
         tracemalloc.stop()
     assert peak < fold_bytes
+
+
+def test_full_metrics_on_wide_data_peaks_below_one_full_width_gather():
+    # a pass gathers only the columns it reads: two 3-column sets of 2000
+    # columns stay under what one fold's test and train rows take at full width
+    rng = np.random.default_rng(0)
+    n, d = 300, 2000
+    ds = make_dataset(rng.normal(size=(n, d)), rng.integers(0, 2, n))
+    folds = stratified_kfold(ds, 5, rng)
+    tracemalloc.start()
+    try:
+        full_metrics(ds, (), [(5, 900, 1999), (3, 17, 1200)], folds, k=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8
 
 
 # --- equal-width binning --------------------------------------------------------
