@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, DatasetError, _column_index
-from .metrics import _mi_from_codes, equal_width_bins
+from .metrics import _column_codes, _mi_from_codes
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,8 @@ def mi_rank_select(ds: Dataset, m: int, n_bins: int = 10) -> ConditionalSet:
     one code per class.
     """
     _check_m(ds, m)
-    scores = np.array(
-        [
-            _mi_from_codes(equal_width_bins(col, n_bins), ds.labels, n_bins, ds.n_classes)
-            for col in ds.features.T
-        ]
-    )
+    codes = _column_codes(ds.features, range(ds.d), n_bins)
+    scores = _mi_from_codes(codes, ds.labels, n_bins, ds.n_classes)
     order = np.argsort(-scores, kind="stable")[:m]
     return ConditionalSet(indices=tuple(int(j) for j in order), source="mi")
 

@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import ConditionalSet, load_conditional, mi_rank_select, ttest_rank_select
 from .dataset import Dataset, DatasetError, LabelColumnError
 from .dataset import load_csv, synth_xor_dataset, zscore_normalize
-from .ga import ConfigError, GAConfig, hefs_run, run_fold_assignment
+from .ga import ConfigError, GAConfig, hefs_run, residual_feature_indices, run_fold_assignment
 from .metrics import full_metrics
 
 SCHEMA_VERSION = "1"
@@ -94,13 +94,6 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     """Refuse bad or ignored flags; return the run's search settings."""
     if args.dataset is not None and args.label_col is None:
         parser.error("--label-col is required with --dataset")
-    if args.synth is not None:
-        if args.d < 2:
-            parser.error("--d must be >= 2")
-        if args.n < 2 or args.n % 2:
-            parser.error("--n must be a positive even number")
-        if not 0.0 <= args.noise <= 1.0:
-            parser.error("--noise must be in [0, 1]")
     if args.baseline not in ("mi", "ttest") and not args.baseline.startswith("file:"):
         parser.error(f"--baseline must be mi, ttest, or file:PATH, got {args.baseline!r}")
     if args.synth is not None:
@@ -116,8 +109,6 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         dest = dest_of[flag]
         if getattr(args, dest) != parser.get_default(dest):
             parser.error(f"{flag} applies only to {owner}")
-    if args.cond_size < 1:
-        parser.error("--cond-size must be >= 1")
     if args.runs < 1:
         parser.error("--runs must be >= 1")
     args.out = args.out or ("hefs_report.json" if args.runs == 1 else "hefs_runs")
@@ -158,37 +149,41 @@ def main() -> None:
 
 def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, dict]:
     if args.synth is not None:
-        raw = synth_xor_dataset(args.n, args.d, args.noise, np.random.default_rng(args.seed))
-        info = {
-            "source": f"synth:{args.synth}",
-            "label_column": None,
-            "label_noise": args.noise,
-        }
+        try:
+            raw = synth_xor_dataset(args.n, args.d, args.noise, np.random.default_rng(args.seed))
+        except ValueError as exc:
+            flags = f"--synth {args.synth} --n {args.n} --d {args.d} --noise {args.noise}"
+            raise ConfigError(f"{flags}: {exc}") from exc
+        source, noise = f"synth:{args.synth}", args.noise
     else:
         try:
             raw = load_csv(args.dataset, args.label_col)
         except LabelColumnError as exc:
             raise ConfigError(f"--label-col {args.label_col}: {exc}") from exc
-        info = {
-            "source": f"csv:{args.dataset}",
-            "label_column": args.label_col,
-            "label_noise": None,
-        }
+        source, noise = f"csv:{args.dataset}", None
     ds = zscore_normalize(raw)
+    # _validate_args refuses --label-col beside --synth, so it is None there
+    info = {"source": source, "label_column": args.label_col, "label_noise": noise}
     info.update({"n": ds.n, "d": ds.d, "n_classes": ds.n_classes, "normalized": True})
     return ds, info
 
 
 def _build_conditional(args: argparse.Namespace, ds: Dataset) -> ConditionalSet:
     if args.baseline.startswith("file:"):
-        return load_conditional(args.baseline.split(":", 1)[1], ds)
-    # ds is valid by now, so a fault here is flags that do not fit it
+        flags = f"--baseline {args.baseline}"
+        conditional = load_conditional(args.baseline.split(":", 1)[1], ds)
+    else:
+        flags = f"--baseline {args.baseline} --cond-size {args.cond_size}"
+    # ds and a set file are valid by now, so a fault here is flags that do not fit them
     try:
         if args.baseline == "mi":
-            return mi_rank_select(ds, args.cond_size, args.n_bins)
-        return ttest_rank_select(ds, args.cond_size)
+            conditional = mi_rank_select(ds, args.cond_size, args.n_bins)
+        elif args.baseline == "ttest":
+            conditional = ttest_rank_select(ds, args.cond_size)
+        residual_feature_indices(ds.d, conditional)
     except ValueError as exc:
-        raise ConfigError(f"--baseline {args.baseline} --cond-size {args.cond_size}: {exc}") from exc
+        raise ConfigError(f"{flags}: {exc}") from exc
+    return conditional
 
 
 def _execute(args: argparse.Namespace, cfg: GAConfig) -> int:
@@ -297,9 +292,7 @@ def aggregate(paths: Sequence[str | Path]) -> dict:
     """Summarize a batch of run reports: mean and population std per metric."""
     if not paths:
         raise ValueError("no report files to aggregate")
-    reports = []
-    for p in paths:
-        reports.append(json.loads(Path(p).read_text()))
+    reports = [json.loads(Path(p).read_text()) for p in paths]
     versions = {r.get("schema_version") for r in reports}
     if versions != {SCHEMA_VERSION}:
         raise ValueError(f"schema version mismatch: {sorted(map(str, versions))}")

@@ -180,6 +180,9 @@ def load_csv(path: str | Path, label_column: str | int) -> Dataset:
         except ValueError as exc:
             raise LabelColumnError(f"{p}: {exc}") from None
         feature_names = header[:label_idx] + header[label_idx + 1 :]
+        if not feature_names:
+            label = header[label_idx]
+            raise DatasetError(f"{p}: no feature columns besides the label column {label!r}")
 
         n_cols = len(header)
         values = array("d")

@@ -28,7 +28,7 @@ from .dataset import (
 )
 from .metrics import (
     cv_accuracy,
-    equal_width_bins,
+    _column_codes,
     _fold_votes,
     _knn_from_d2,  # unused here; bench/tracing.py patches it under this module
     _mi_from_codes,
@@ -146,7 +146,7 @@ def residual_feature_indices(d: int, conditional: ConditionalSet) -> tuple[int, 
         raise ConfigError(f"conditional set references feature {max(conditional.indices)}, d={d}")
     residual = tuple(j for j in range(d) if j not in held)
     if not residual:
-        raise ConfigError("conditional set covers every feature, nothing to search")
+        raise ConfigError(f"conditional set covers every feature, nothing to search (d={d})")
     return residual
 
 
@@ -236,15 +236,10 @@ class FitnessEvaluator:
         self.cfg = cfg
         self.residual = residual_feature_indices(ds.d, conditional)
         self._memo: dict[bytes, FitnessPair] = {}
-        n = cfg.n_bins
-        codes = [equal_width_bins(col, n) for col in ds.features.T]
+        n, r = cfg.n_bins, len(self.residual)
+        codes = _column_codes(ds.features, self.residual + conditional.indices, n)
         # row i: MI of residual i against each conditional column, in order
-        self._cross_mi = np.array(
-            [
-                [_mi_from_codes(codes[h], codes[s], n, n) for s in conditional.indices]
-                for h in self.residual
-            ]
-        )
+        self._cross_mi = np.column_stack([_mi_from_codes(codes[:r], c, n, n) for c in codes[r:]])
 
     def _score(self, masks: dict[bytes, np.ndarray]) -> None:
         """Memoize the fitness of every mask, keyed by its bytes, with every
@@ -432,7 +427,6 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
     """
     started = time.perf_counter()
     residual = residual_feature_indices(ds.d, conditional)
-    r = len(residual)
 
     # the fold stream is spawn key (0,), which run_fold_assignment draws
     _, cluster_ss, ga_ss = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -454,7 +448,7 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
     rng = np.random.default_rng(ga_ss)
     evaluator = FitnessEvaluator(ds_loop, conditional, folds_loop, cfg)
 
-    population = selective_activation_init(r, cfg, rng)
+    population = selective_activation_init(len(residual), cfg, rng)
     evaluator.evaluate_population(population)
     archive = _front_of(population)
     initial_front = list(archive)

@@ -332,18 +332,33 @@ def equal_width_bins(column: np.ndarray, n_bins: int) -> np.ndarray:
     return np.clip(codes, 0, n_bins - 1)
 
 
-def _mi_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, n_a: int, n_b: int) -> float:
-    """Plug-in MI in nats of two code vectors with values in 0..n_a-1 and 0..n_b-1."""
-    joint = np.bincount(codes_a * n_b + codes_b, minlength=n_a * n_b)
-    joint = joint.reshape(n_a, n_b).astype(np.float64)
-    total = joint.sum()
-    p = joint / total
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
-    nz = p > 0.0
-    outer = pa[:, None] * pb[None, :]
-    mi = float(np.sum(p[nz] * np.log(p[nz] / outer[nz])))
-    return max(mi, 0.0)
+def _column_codes(features: np.ndarray, columns: Sequence[int], n_bins: int) -> np.ndarray:
+    """equal_width_bins codes of the given columns, one row per column, each
+    written straight into the result."""
+    rows = (equal_width_bins(features[:, j], n_bins) for j in columns)
+    return np.fromiter(rows, dtype=(np.int64, features.shape[0]), count=len(columns))
+
+
+def _mi_from_codes(codes_a: np.ndarray, codes_b: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
+    """Plug-in MI in nats of each row of codes_a, (m, n) in 0..n_a-1, against
+    codes_b, (n,) in 0..n_b-1, one bincount per block of max(1, _TILE_ELEMENTS
+    // max(n, n_a * n_b)) rows. Each row has the bits of the one-pair formula:
+    counts / n is joint / joint.sum(), the marginals are the same axis sums of
+    an (n_a, n_b) table, and the nonzero terms are summed as one run per row."""
+    (m, n), cells = codes_a.shape, n_a * n_b
+    step = max(1, _TILE_ELEMENTS // max(n, cells))
+    mi = np.empty(m)
+    for lo in range(0, m, step):
+        block = codes_a[lo : lo + step] * n_b
+        block += codes_b
+        block += np.arange(0, len(block) * cells, cells)[:, None]
+        p = np.bincount(block.ravel(), minlength=len(block) * cells).reshape(-1, n_a, n_b) / n
+        nz = p > 0.0
+        outer = p.sum(axis=2)[:, :, None] * p.sum(axis=1)[:, None, :]
+        terms = p[nz] * np.log(p[nz] / outer[nz])
+        runs = np.split(terms, np.cumsum(nz.sum(axis=(1, 2)))[:-1])
+        mi[lo : lo + step] = [run.sum() for run in runs]
+    return np.maximum(mi, 0.0)
 
 
 def mutual_information(a: np.ndarray, b: np.ndarray, n_bins: int = 10) -> float:
@@ -356,4 +371,4 @@ def mutual_information(a: np.ndarray, b: np.ndarray, n_bins: int = 10) -> float:
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("inputs must be non-empty vectors of equal length")
     codes_a, codes_b = equal_width_bins(a, n_bins), equal_width_bins(b, n_bins)
-    return _mi_from_codes(codes_a, codes_b, n_bins, n_bins)
+    return float(_mi_from_codes(codes_a[None], codes_b, n_bins, n_bins)[0])

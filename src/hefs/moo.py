@@ -82,9 +82,8 @@ def normalize_front(fitnesses: Sequence[FitnessPair]) -> np.ndarray:
     lo = f.min(axis=0)
     span = f.max(axis=0) - lo
     safe = np.where(span == 0.0, 1.0, span)
-    out = (f - lo) / safe
-    out[:, span == 0.0] = 0.0
-    return out
+    # a constant objective's f - lo is exactly 0
+    return (f - lo) / safe
 
 
 def niche_select(

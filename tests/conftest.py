@@ -85,6 +85,21 @@ def record_votes(mp):
     return voted
 
 
+def mi_oracle(codes_a, codes_b, n_a, n_b):
+    """Plug-in MI in nats of one pair of code vectors, computed on its own
+    (n_a, n_b) table: the per-pair formula a batched MI must match bit for bit."""
+    joint = np.bincount(codes_a * n_b + codes_b, minlength=n_a * n_b)
+    joint = joint.reshape(n_a, n_b).astype(np.float64)
+    total = joint.sum()
+    p = joint / total
+    pa = p.sum(axis=1)
+    pb = p.sum(axis=0)
+    nz = p > 0.0
+    outer = pa[:, None] * pb[None, :]
+    mi = float(np.sum(p[nz] * np.log(p[nz] / outer[nz])))
+    return max(mi, 0.0)
+
+
 @pytest.fixture
 def dataset_factory():
     return make_dataset

@@ -68,6 +68,22 @@ def test_cli_rejects_bad_flag_values(extra, capsys):
     assert run(["--synth", "xor"] + extra) == 2
 
 
+@pytest.mark.parametrize(
+    "extra, fault",
+    [
+        (["--n", "7"], "--n 7 --d 20 --noise 0.0: n must be a positive even number, got 7"),
+        (["--n", "0"], "--n 0 --d 20 --noise 0.0: n must be a positive even number, got 0"),
+        (["--d", "1"], "--n 400 --d 1 --noise 0.0: need d >= 2, got 1"),
+        (["--noise", "1.5"], "--n 400 --d 20 --noise 1.5: label_noise must be in [0, 1], got 1.5"),
+    ],
+)
+def test_cli_bad_synthetic_data_names_the_synth_flags(tmp_path, extra, fault, capsys):
+    out = tmp_path / "r.json"
+    assert run(["--synth", "xor", *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: --synth xor {fault}"
+    assert not out.exists()
+
+
 # an invalid value for every non-boolean GAConfig field
 INVALID = {
     "r_min": 0.0,
@@ -126,11 +142,22 @@ def test_cli_config_errors_exit_2(tmp_path, cond_file, capsys):
     base = SMALL_SYNTH + ["--baseline", f"file:{cond_file}", "--out", str(out)]
     assert run(base + ["--rmin", "0.4", "--rmax", "0.3"]) == 2
     assert "error:" in capsys.readouterr().err
-    # conditional set covering every feature leaves nothing to search
+    # conditional set covering every feature leaves nothing to search, and
+    # the flags that chose it are named
     assert run(["--synth", "xor", "--d", "4", "--n", "40", "--cond-size", "4",
                 "--pop", "4", "--iters", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: --baseline mi --cond-size 4: conditional set covers every feature" in err
+    assert "(d=4)" in err
+    every = tmp_path / "every.txt"
+    every.write_text("f0\nf1\nf2\nf3\n")
+    assert run(["--synth", "xor", "--d", "4", "--n", "40", "--baseline", f"file:{every}",
+                "--pop", "4", "--iters", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --baseline file:{every}: conditional set covers every feature" in err
+    assert "(d=4)" in err
+    assert not out.exists()
     # a ranked conditional set larger than d names the flag
-    capsys.readouterr()
     assert run(["--synth", "xor", "--d", "4", "--n", "40", "--cond-size", "5",
                 "--pop", "4", "--iters", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -160,6 +160,13 @@ def test_load_csv_single_class(tmp_path):
         load_csv(p, "y")
 
 
+def test_load_csv_label_column_alone_names_the_file(tmp_path):
+    p = _write(tmp_path, "y\na\nb\n")
+    with pytest.raises(DatasetError) as exc:
+        load_csv(p, "y")
+    assert str(exc.value) == f"{p}: no feature columns besides the label column 'y'"
+
+
 def test_load_csv_header_only(tmp_path):
     p = _write(tmp_path, "a,b,y\n")
     with pytest.raises(DatasetError, match="header row and at least one data row"):

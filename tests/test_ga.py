@@ -17,6 +17,7 @@ from hefs import (
     best_helper_set,
     cv_accuracy,
     hefs_run,
+    mi_rank_select,
     mutual_information,
     ratio_guided_mutation,
     run_fold_assignment,
@@ -31,10 +32,12 @@ from hefs.ga import (
     complementarity_score,
     residual_feature_indices,
 )
+from hefs.metrics import equal_width_bins
 from hefs.moo import FitnessPair
 from conftest import (
     force_tile_rows,
     make_dataset,
+    mi_oracle,
     pass_rows,
     record_votes,
     tie_heavy_datasets,
@@ -295,6 +298,60 @@ def test_evaluator_pass_stays_within_its_memory_bound(n_genomes):
         tracemalloc.stop()
     assert all(ind.fitness is not None for ind in population)
     assert peak < tiles + knn + gathers + outputs
+
+
+def per_pair_mi_table(ds, residual, conditional, n_bins):
+    """Residual x conditional MI, one oracle call per column pair."""
+    codes = [equal_width_bins(col, n_bins) for col in ds.features.T]
+    return np.array(
+        [[mi_oracle(codes[h], codes[s], n_bins, n_bins) for s in conditional] for h in residual]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tie_heavy_datasets(), n_bins=st.integers(2, 12), data=st.data())
+def test_cross_mi_table_equals_the_per_pair_formula(case, n_bins, data):
+    ds, folds = case
+    order = data.draw(st.permutations(range(ds.d)))
+    cond = ConditionalSet(tuple(order[: data.draw(st.integers(1, ds.d - 1))]), "file")
+    ev = FitnessEvaluator(ds, cond, folds, GAConfig(n_bins=n_bins))
+    want = per_pair_mi_table(ds, ev.residual, cond.indices, n_bins)
+    assert ev._cross_mi.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("indices", [(0,), (1, 0), (5, 0, 19, 1)])
+def test_cross_mi_table_on_xor_data_equals_the_per_pair_formula(xor_ds, indices):
+    cfg = GAConfig()
+    cond = ConditionalSet(indices, "file")
+    ev = FitnessEvaluator(xor_ds, cond, run_fold_assignment(xor_ds, cfg), cfg)
+    want = per_pair_mi_table(xor_ds, ev.residual, indices, cfg.n_bins)
+    assert ev._cross_mi.tobytes() == want.tobytes()
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak, in bytes, over one call of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mi_tables_peak_within_three_feature_matrices():
+    # the paper-shaped proxy: 200 x 2000 Gaussian rows, the label the sign of
+    # the first 10 columns' sum plus noise, an MI conditional set of 20. Codes
+    # are binned into one array and counted in blocks, so neither the MI
+    # ranking nor the evaluator's residual x conditional table holds more than
+    # a few copies of the feature matrix
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 2000))
+    ds = make_dataset(x, (x[:, :10].sum(axis=1) + rng.normal(size=200) > 0).astype(int))
+    cfg = GAConfig()
+    folds = run_fold_assignment(ds, cfg)
+    cond = mi_rank_select(ds, 20)
+    assert traced_peak(mi_rank_select, ds, 20) <= 3 * ds.features.nbytes
+    assert traced_peak(FitnessEvaluator, ds, cond, folds, cfg) <= 3 * ds.features.nbytes
 
 
 @st.composite

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hefs.metrics
@@ -21,6 +21,7 @@ from hefs import (
 from hefs.metrics import (
     _fold_votes,
     _knn_from_d2,
+    _mi_from_codes,
     _rank_auc,
     _sq_distances,
     equal_width_bins,
@@ -28,6 +29,7 @@ from hefs.metrics import (
 from conftest import (
     force_tile_rows,
     make_dataset,
+    mi_oracle,
     pass_rows,
     record_votes,
     tie_heavy_datasets,
@@ -707,3 +709,80 @@ def test_mi_survives_zscore_normalization_of_bits():
     assert mutual_information(norm.features[:, 0], y) == pytest.approx(
         mutual_information(raw.features[:, 0], y), abs=1e-12
     )
+
+
+# --- batched mutual information --------------------------------------------------
+
+
+@st.composite
+def code_tables(draw):
+    """(codes_a, codes_b, n_a, n_b): 1-40 rows of n codes against one target.
+    Each row and the target draw from a random run of their bins, so a joint
+    table holds anything from one nonzero cell to all of them; about one row
+    in five is constant."""
+    n = draw(st.integers(1, 300))
+    n_a, n_b = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def codes(size, n_bins):
+        lo, hi = np.sort(rng.integers(0, n_bins, 2))
+        return rng.integers(lo, hi + 1, size=size)
+
+    codes_a = np.array([codes(n, n_a) for _ in range(m)])
+    codes_a[rng.random(m) < 0.2] = rng.integers(n_a)
+    return codes_a, codes(n, n_b), n_a, n_b
+
+
+def assert_batched_mi_is_the_one_pair_formula(codes_a, codes_b, n_a, n_b, rows):
+    """_mi_from_codes gives each row the oracle's bits, in one block and in
+    blocks of rows rows."""
+    want = np.array([mi_oracle(row, codes_b, n_a, n_b) for row in codes_a]).tobytes()
+    assert _mi_from_codes(codes_a, codes_b, n_a, n_b).tobytes() == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hefs.metrics, "_TILE_ELEMENTS", rows * max(codes_a.shape[1], n_a * n_b))
+        assert _mi_from_codes(codes_a, codes_b, n_a, n_b).tobytes() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=code_tables(), rows=st.integers(1, 3))
+# 5 rows in blocks of 2: the last block holds one row
+@example(table=(np.arange(20).reshape(5, 4) % 3, np.array([0, 1, 1, 0]), 3, 2), rows=2)
+def test_batched_mi_equals_the_one_pair_formula(table, rows):
+    assert_batched_mi_is_the_one_pair_formula(*table, rows)
+
+
+def staircase_rows(codes_b, n_a):
+    """Code rows whose joint tables against codes_b hold every count of
+    nonzero cells a row can reach: the first row puts every sample in bin 0,
+    and each next one moves one more sample into a bin its target value has
+    not met yet."""
+    row = np.zeros(codes_b.size, dtype=np.int64)
+    rows, bins_of = [row.copy()], {}
+    for i, b in enumerate(codes_b.tolist()):
+        if b not in bins_of:
+            bins_of[b] = 1  # this value's first sample stays in bin 0
+        elif bins_of[b] < n_a:
+            row[i] = bins_of[b]
+            bins_of[b] += 1
+            rows.append(row.copy())
+    return np.array(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    n_a=st.integers(2, 12),
+    n_b=st.integers(2, 12),
+    rows=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_mi_equals_the_one_pair_formula_at_every_nonzero_count(n, n_a, n_b, rows, seed):
+    rng = np.random.default_rng(seed)
+    codes_b = rng.integers(0, rng.integers(1, n_b + 1), size=n)
+    codes_a = staircase_rows(codes_b, n_a)
+    nonzero = [np.unique(row * n_b + codes_b).size for row in codes_a]
+    fewest = np.unique(codes_b).size
+    most = sum(min(n_a, c) for c in np.bincount(codes_b))
+    assert nonzero == list(range(fewest, most + 1))
+    assert_batched_mi_is_the_one_pair_formula(codes_a, codes_b, n_a, n_b, rows)
