@@ -46,6 +46,16 @@ _PASS_ELEMENTS = 5 * _TILE_ELEMENTS
 # the thinnest tile the pass budget may ask for: thinner tiles pay more
 # Python and ufunc dispatch per distance than the memory they save
 _MIN_TILE_ROWS = 16
+# a pass whose every training fold holds at least this many rows votes
+# through the filter-and-refine path. Per pass, on one core: from 512
+# training rows on, one matrix product per set beats the column adds up to
+# 7x on sets of 31-60 columns, and loses at most 1.4x (30 sets of 4
+# columns); at 48-320 rows its per-set, per-tile dispatch costs up to 11x
+# more than the adds it saves
+_REFINE_MIN_TRAIN = 512
+# candidates one refine tile may take to exact sums; a tile with more (rows
+# tied over much of the training side) sums its columns on the column path
+_REFINE_MAX_CANDIDATES = _TILE_ELEMENTS // 4
 
 
 def _tile_rows(train_size: int, n_sets: int) -> int:
@@ -107,32 +117,166 @@ def _knn_from_d2(
     row position (lowest index first). Vote ties go to the lowest class id.
     When fewer than k training rows exist, all of them vote.
     """
-    nq, nt = d2.shape
+    nt = d2.shape[1]
     k_eff = min(k, nt)
     # a copy, so the partitioned matrix is freed at once
     kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1 : k_eff].copy()
     hit = np.flatnonzero(d2 <= kth)
     row = hit // nt
+    return _vote(row, train_y[hit - row * nt], d2.reshape(-1), hit, kth[:, 0], k_eff, n_classes)
+
+
+def _vote(
+    row: np.ndarray,
+    label: np.ndarray,
+    dist: np.ndarray,
+    cell: np.ndarray,
+    kth: np.ndarray,
+    k_eff: int,
+    n_classes: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k-NN vote of len(kth) query rows from the cells at or below each
+    row's k-th distance kth[r]: cell i lies in query row row[i], its training
+    row has class label[i], and its distance is dist[cell[i]]. row is
+    ascending, and a query row's cells come in training-row order.
+
+    Every row holds at least k_eff such cells. A row with more, tied at the
+    k-th distance, admits the lowest training rows among the tied ones, so
+    neighbors are ranked by (distance, training row). Vote ties go to the
+    lowest class id. Returns predictions and class-1 vote fractions.
+    """
+    nq = kth.size
     n_sel = np.bincount(row, minlength=nq)
     # a query with more training rows at the k-th distance than free slots
     # admits the lowest-index ones only; every other query already selects
-    # exactly k_eff rows. hit is ascending, so a tied row's cells at the
-    # k-th distance come in column order, and their rank is their place
-    # after the row's first such cell
+    # exactly k_eff rows. A tied row's cells at the k-th distance come in
+    # training-row order, and their rank is their place after the row's
+    # first such cell
     if n_sel.max(initial=0) > k_eff:
-        over = np.flatnonzero(n_sel[row] > k_eff)  # the tied rows' hits
-        at = over[d2.reshape(-1)[hit[over]] == kth[row[over], 0]]
+        over = np.flatnonzero(n_sel[row] > k_eff)  # the tied rows' cells
+        at = over[dist[cell[over]] == kth[row[over]]]
         at_row = row[at]
         rank = np.arange(at.size) - np.searchsorted(at_row, at_row)
         closer = n_sel - np.bincount(at_row, minlength=nq)
         drop = at[rank >= k_eff - closer[at_row]]
-        hit, row = np.delete(hit, drop), np.delete(row, drop)
+        row, label = np.delete(row, drop), np.delete(label, drop)
     # every row selects exactly k_eff training rows; count (row, class) pairs
-    counts = np.bincount(row * n_classes + train_y[hit - row * nt], minlength=nq * n_classes)
+    counts = np.bincount(row * n_classes + label, minlength=nq * n_classes)
     counts = counts.reshape(nq, n_classes)
     preds = np.argmax(counts, axis=1)
     pos_frac = counts[:, 1] / k_eff if n_classes >= 2 else np.zeros(nq)
     return preds, pos_frac
+
+
+def _band(scale: np.ndarray, m: int) -> np.ndarray:
+    """Per query row, how far past its k-th smallest filter value a cell's
+    filter value may lie and the cell still be among the k nearest; scale is
+    the row's |q|^2 plus the largest |t|^2 of the fold, over the set's m
+    columns.
+
+    With u = 2^-53 and gamma(n) = n u / (1 - n u), Higham's dot-product bound
+    (Accuracy and Stability of Numerical Algorithms, 3.1) holds for any
+    summation order, so for any BLAS kernel: the filter value |t|^2 - 2 q.t
+    lies within 2 gamma(m + 1) (|q|^2 + |t|^2) of the true D - |q|^2, and the
+    column path's sum of m rounded squares of rounded differences lies within
+    gamma(m + 2) D <= 2 gamma(m + 2) (|q|^2 + |t|^2) of the true distance D.
+    Each cell's filter value plus |q|^2 is thus within E = 4 gamma(m + 2) *
+    scale of its exact sum, and a cell whose exact sum is at most the k-th
+    smallest one has a filter value at most the k-th smallest filter value
+    plus 2E. The band is 2E with gamma(m + 4) in place of gamma(m + 2), which
+    covers the rounding of scale and of the threshold, plus 4 (m + 1) of the
+    smallest subnormal for products and squares that underflow.
+    """
+    u = 2.0**-53
+    gamma = (m + 4) * u / (1.0 - (m + 4) * u)
+    return 8.0 * gamma * scale + 4 * (m + 1) * 2.0**-1074
+
+
+def _refine_fold(
+    features: np.ndarray,
+    test: np.ndarray,
+    train: np.ndarray,
+    set_cols: Sequence[Sequence[int]],
+    k: int,
+    train_y: np.ndarray,
+    n_classes: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-NN votes of one fold's test rows for each set of feature columns,
+    summed in the given order: predictions and class-1 vote fractions, each
+    (len(set_cols), test.size). See _fold_votes for the method."""
+    ntr = train.size
+    k_eff = min(k, ntr)
+    step = max(1, _TILE_ELEMENTS // ntr)
+    # a tile's filter values and, should it fall back to the column path,
+    # its sums and their scratch: one allocation for the fold
+    flat = np.empty(2 * min(step, test.size) * ntr)
+    preds = np.empty((len(set_cols), test.size), dtype=np.int64)
+    pos_frac = np.empty((len(set_cols), test.size), dtype=np.float64)
+    for s, cols in enumerate(set_cols):
+        # one row per sample, the set's columns in its summation order
+        q, t = features[np.ix_(test, cols)], features[np.ix_(train, cols)]
+        t_sq = np.einsum("ij,ij->i", t, t)
+        scale = np.einsum("ij,ij->i", q, q) + t_sq.max()
+        # no filter value or exact sum exceeds 4 * scale in magnitude, so
+        # while that is finite none of them is inf or NaN (a NaN scale fails
+        # the test too); a set without columns has all distances 0 and every
+        # cell a candidate
+        can_filter = (scale < np.finfo(np.float64).max / 4) & (len(cols) > 0)
+        width = _band(scale, len(cols))
+        q2 = -2.0 * q
+        for lo in range(0, test.size, step):
+            rows = slice(lo, lo + step)
+            g, scratch = flat[: 2 * q[rows].shape[0] * ntr].reshape(2, -1, ntr)
+            votes = None
+            if can_filter[rows].all():
+                np.matmul(q2[rows], t.T, out=g)
+                g += t_sq
+                votes = _refine_tile(g, width[rows], q[rows], t, k_eff, train_y, n_classes)
+            if votes is None:
+                # the column path's sums: from zero, in the set's order
+                g.fill(0.0)
+                _add_sq_distances(q[rows].T, t.T, [(j, [g]) for j in range(len(cols))], scratch)
+                votes = _knn_from_d2(g, train_y, k, n_classes)
+            preds[s, rows], pos_frac[s, rows] = votes
+    return preds, pos_frac
+
+
+def _refine_tile(
+    g: np.ndarray,
+    width: np.ndarray,
+    q: np.ndarray,
+    t: np.ndarray,
+    k_eff: int,
+    train_y: np.ndarray,
+    n_classes: int,
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Vote the query rows q from their filter values g, (rows, train), and
+    band widths: the exact sums of each row's candidates go to _vote. None
+    when the candidates number more than _REFINE_MAX_CANDIDATES."""
+    kth = np.partition(g, k_eff - 1, axis=1)[:, k_eff - 1].copy()
+    cand = np.flatnonzero(g <= (kth + width)[:, None])
+    if cand.size > _REFINE_MAX_CANDIDATES:
+        return None
+    nq, m = q.shape
+    row = cand // g.shape[1]
+    col = cand - row * g.shape[1]
+    # each candidate's q - t squares, summed from the first column on in one
+    # sequential cumsum: the bits of the column path's adds. Chunked so each
+    # (candidates, m) block holds at most _TILE_ELEMENTS // 4 cells
+    dist = np.empty(cand.size)
+    chunk = max(1, _TILE_ELEMENTS // (4 * m))
+    for lo in range(0, cand.size, chunk):
+        sq = q[row[lo : lo + chunk]]
+        sq -= t[col[lo : lo + chunk]]
+        sq *= sq
+        dist[lo : lo + chunk] = np.cumsum(sq, axis=1)[:, -1]
+    # each row's k-th smallest exact sum; every row has at least k_eff
+    # candidates, the cells of its k_eff smallest filter values
+    order = np.lexsort((dist, row))
+    n_cand = np.bincount(row, minlength=nq)
+    kth = dist[order[np.cumsum(n_cand) - n_cand + (k_eff - 1)]]
+    hit = np.flatnonzero(dist <= kth[row])
+    return _vote(row[hit], train_y[col[hit]], dist, hit, kth, k_eff, n_classes)
 
 
 def _check_subset(ds: Dataset, feature_subset: Sequence[int], k: int) -> np.ndarray:
@@ -159,37 +303,69 @@ def _fold_votes(
     out-of-fold predictions and class-1 vote fractions, each (len(extra_sets),
     n), and per-fold accuracies, (len(extra_sets), n_folds).
 
-    Each fold gathers from ds.features only the columns the pass reads, base
-    and the extra sets' union, one feature per row, and votes its test rows in
-    tiles of _tile_rows(train.size, len(extra_sets)). Each extra set has a
-    tile buffer, and the buffers lie back to back, (len(extra_sets), rows,
-    train). Per tile, base's squared distances are summed in the given order
-    into the first set's buffer, its first column formed there in place (an
-    empty base leaves zeros), and this prefix is copied into every other
+    Every distance that decides a vote is the float64 sum that _sq_distances
+    forms over base + sorted(extra): each column's rounded difference,
+    squared, added from zero in that order, so the order of an extra set
+    changes no bit. Neighbors rank by (distance, training row), through
+    _vote. Two paths reach these votes, and one rule picks one per pass: if
+    every training fold holds at least _REFINE_MIN_TRAIN rows the pass
+    filters and refines, otherwise it takes the column path. Both give the
+    same votes, bit for bit, so the choice changes no report byte.
+
+    Column path. Each fold gathers from ds.features only the columns the pass
+    reads, base and the extra sets' union, one feature per row, and votes its
+    test rows in tiles of _tile_rows(train.size, len(extra_sets)). Each extra
+    set has a tile buffer, and the buffers lie back to back, (len(extra_sets),
+    rows, train). Per tile, base's squared distances are summed in the given
+    order into the first set's buffer, its first column formed there in place
+    (an empty base leaves zeros), and this prefix is copied into every other
     set's. Then each column of the extra sets' union, in ascending order,
     forms its squared differences once and adds them to every set that holds
     it; an empty extra set keeps the prefix. So every voted matrix is a row
-    block of the float64 sum that _sq_distances forms over base +
-    sorted(extra), from zero, and the order of an extra set changes no bit.
-    The sets are voted in chunks of max(1, _TILE_ELEMENTS // tile.size), one
-    _knn_from_d2 call per chunk on its (sets * rows, train) rows; a vote reads
-    its own row only, so neither the tile height nor chunking changes a vote.
-    Correct votes are counted per chunk and divided once by the fold's test
-    size.
+    block of _sq_distances' sum. The sets are voted in chunks of max(1,
+    _TILE_ELEMENTS // tile.size), one _knn_from_d2 call per chunk on its (sets
+    * rows, train) rows; a vote reads its own row only, so neither the tile
+    height nor chunking changes a vote. Correct votes are counted per chunk
+    and divided once by the fold's test size.
 
-    Memory: the 1 + len(extra_sets) tile buffers, a scratch one and the
-    sets', share one allocation of at most max(_PASS_ELEMENTS, (1 +
-    len(extra_sets)) * _MIN_TILE_ROWS * train) float64 cells, so they grow
-    with the number of sets only once the row floor binds. Beside them a
-    pass holds one fold's gather of the columns it reads, one k-NN chunk's
-    working copies, and the outputs, which grow with sets * n. Nothing grows
-    with n squared.
+    Filter-and-refine path, the multi-step k-NN search of Seidl and Kriegel
+    (SIGMOD 1998). Per fold and set, the set's columns are gathered, and each
+    tile of max(1, _TILE_ELEMENTS // train) test rows makes one matrix
+    product, |t|^2 - 2 q.t, a filter that orders a row's cells as the squared
+    distance does, up to rounding. _band bounds that rounding, and the
+    exact sum's, for any BLAS kernel and thread count. Each row keeps the
+    cells whose filter value lies within the band of its k-th smallest: a
+    superset of the cells at or below its k-th exact distance. Only these
+    candidates get exact sums, formed as the column path forms them, and
+    they vote through _vote. A tile whose rows have a scale that is not
+    finite, or whose candidates number more than _REFINE_MAX_CANDIDATES, is
+    summed column by column in the fold's buffers and voted by _knn_from_d2.
+
+    Memory: on the column path, the 1 + len(extra_sets) tile buffers, a
+    scratch one and the sets', share one allocation of at most
+    max(_PASS_ELEMENTS, (1 + len(extra_sets)) * _MIN_TILE_ROWS * train)
+    float64 cells, so they grow with the number of sets only once the row
+    floor binds. Beside them a pass holds one fold's gather of the columns it
+    reads, one k-NN chunk's working copies, and the outputs, which grow with
+    sets * n. The refine path holds two tile buffers of at most
+    _TILE_ELEMENTS cells each, inside _PASS_ELEMENTS whatever the number of
+    sets; beside them one set's gathers, a tile's candidates and their exact
+    sums in blocks of _TILE_ELEMENTS // 4 cells, or one tile's k-NN working
+    copies, and the outputs. Nothing grows with n squared.
     """
     pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
     n_sets = len(extra_sets)
     preds = np.empty((n_sets, ds.n), dtype=np.int64)
     pos_frac = np.empty((n_sets, ds.n), dtype=np.float64)
     fold_acc = np.empty((n_sets, folds.n_folds), dtype=np.float64)
+    if min(train.size for _, train in pairs) >= _REFINE_MIN_TRAIN:
+        set_cols = [[*map(int, base), *sorted(map(int, extra))] for extra in extra_sets]
+        for f, (test, train) in enumerate(pairs):
+            labels = ds.labels[train]
+            p, frac = _refine_fold(ds.features, test, train, set_cols, k, labels, ds.n_classes)
+            preds[:, test], pos_frac[:, test] = p, frac
+            fold_acc[:, f] = (p == ds.labels[test]).sum(axis=1) / test.size
+        return preds, pos_frac, fold_acc
     # a fold gathers only the columns the pass reads, ascending, so a column
     # is read from its rank there; ranks keep base's given order and the
     # extra sets' ascending one
@@ -274,6 +450,11 @@ def full_metrics(
     Distances sum base's columns in the given order, then each extra set's
     columns in ascending order, so the order of an extra set changes no bit;
     cv_accuracy(ds, [*base, *sorted(extra)], ...) gives the same accuracy.
+    When every training fold holds at least 512 rows, the pass ranks cells
+    by a BLAS matrix product and sums only the candidates within its proven
+    error band exactly; otherwise it sums every cell column by column (see
+    _fold_votes). Votes are taken on the exact sums either way, so no metric
+    depends on the BLAS kernel or its thread count.
 
     The AUC score for each sample is its class-1 vote fraction among the k
     neighbors; ties are handled by rank averaging. Precision with no

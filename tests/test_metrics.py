@@ -586,6 +586,181 @@ def test_full_metrics_on_wide_data_peaks_below_one_full_width_gather():
     assert peak < n * d * 8
 
 
+# --- filter and refine ------------------------------------------------------------
+
+
+def take_path(mp, refine):
+    """Patch the refine threshold so every pass votes on the filter-and-refine
+    path (refine=True) or on the column path."""
+    mp.setattr(hefs.metrics, "_REFINE_MIN_TRAIN", 1 if refine else 2**62)
+
+
+def scale_band(mp, factor):
+    """Patch the refine band to factor times its width."""
+    band = hefs.metrics._band
+    mp.setattr(hefs.metrics, "_band", lambda scale, m: factor * band(scale, m))
+
+
+def record_refined(mp):
+    """Patch hefs.metrics._refine_tile to keep, per call, whether the tile
+    voted from its candidates (True) or fell back to the column path."""
+    refine, refined = hefs.metrics._refine_tile, []
+
+    def recording_refine(*args):
+        votes = refine(*args)
+        refined.append(votes is not None)
+        return votes
+
+    mp.setattr(hefs.metrics, "_refine_tile", recording_refine)
+    return refined
+
+
+@st.composite
+def near_tie_datasets(draw):
+    """(dataset, folds) whose rows copy a few prototypes of integer levels,
+    some cells nudged by one ulp, each column scaled by a power of ten from
+    1e-150 to 1e150, so sums stay finite. Exact duplicates, exact ties and
+    near-ties one ulp apart are everywhere, and a level 0 nudged by one ulp
+    is subnormal. 2-3 classes, 2-4 folds of any class mix."""
+    n_classes = draw(st.integers(2, 3))
+    n_folds = draw(st.integers(2, 4))
+    n = draw(st.integers(max(n_classes, n_folds), 30))
+    # past 8 columns a pairwise sum would differ from the sequential one
+    d = draw(st.integers(1, 12))
+    levels = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    power = st.one_of(st.sampled_from([-150, -75, 0, 75, 150]), st.integers(-150, 150))
+    if draw(st.booleans()):
+        protos = draw(st.lists(levels, min_size=1, max_size=n))
+        powers = draw(st.lists(power, min_size=d, max_size=d))
+    else:
+        # permutations of one level vector under one power: rows whose exact
+        # distances tie in real numbers, and whose rounded sums differ with
+        # the order of the columns
+        protos = draw(st.lists(st.permutations(draw(levels)), min_size=1, max_size=n))
+        powers = [draw(power)] * d
+    rows = np.array(draw(st.lists(st.sampled_from(protos), min_size=n, max_size=n)), dtype=float)
+    x = rows * 10.0 ** np.array(powers, dtype=float)
+    nudge = np.array(draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=n * d, max_size=n * d)))
+    nudge = nudge.reshape(n, d)
+    x[nudge != 0] = np.nextafter(x[nudge != 0], nudge[nudge != 0] * np.inf)
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    labels[:n_classes] = range(n_classes)  # every class occurs
+    fold_of = draw(st.permutations([i % n_folds for i in range(n)]))
+    return make_dataset(x, labels), FoldAssignment(np.array(fold_of), n_folds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=near_tie_datasets(), band=st.sampled_from([1.0, 2.0**20, np.inf]), data=st.data())
+def test_refine_pass_equals_column_pass(case, band, data):
+    # k may reach past the training fold; an inflated band, up to every cell
+    # a candidate, only adds candidates and changes no vote
+    ds, folds = case
+    k = data.draw(st.integers(1, ds.n + 2))
+    base = data.draw(st.lists(st.integers(0, ds.d - 1), max_size=ds.d, unique=True))
+    rest = [j for j in range(ds.d) if j not in base]
+    extra = st.lists(st.sampled_from(rest), unique=True) if rest else st.just([])
+    sets = data.draw(st.lists(extra, min_size=1, max_size=4))
+    with pytest.MonkeyPatch.context() as mp:
+        take_path(mp, refine=False)
+        want = _fold_votes(ds, folds, k, base, sets)
+        take_path(mp, refine=True)
+        scale_band(mp, band)
+        refined = record_refined(mp)
+        got = _fold_votes(ds, folds, k, base, sets)
+    for got_arr, want_arr in zip(got, want):
+        assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
+    # each fold is one tile here, and every set with columns votes it from
+    # its candidates; a set without columns takes the column path
+    assert refined == [True] * folds.n_folds * sum(1 for extra in sets if base or extra)
+
+
+def test_band_is_load_bearing():
+    # one column, so the filter is one rounded product and square per cell
+    # whatever the BLAS: q - t1 is exactly 1, and t2 lies one ulp beyond
+    # q - 1, so t1 is the nearest, but the filter ranks t2 first
+    q = 703594496.0
+    t1, t2 = q + 1.0, np.nextafter(q - 1.0, -np.inf)
+    assert (q - t1) ** 2 < (q - t2) ** 2
+    assert -2.0 * q * t1 + t1 * t1 > -2.0 * q * t2 + t2 * t2
+    ds = make_dataset([[q], [t1], [t2]], [0, 0, 1])
+    folds = FoldAssignment(np.array([0, 1, 1]), 2)
+    for factor, want in ((1.0, 0), (2.0**20, 0), (0.0, 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            take_path(mp, refine=True)
+            scale_band(mp, factor)
+            preds, _, _ = _fold_votes(ds, folds, 1, [0], [()])
+        assert preds[0, 0] == want, factor
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "prototypes"])
+def test_refine_pass_equals_column_pass_at_scale(kind):
+    # matrices large enough to use the BLAS's blocked kernels and threads:
+    # offset Gaussian columns make the filter cancel to a few digits, and
+    # duplicated prototypes tie whole groups at the k-th distance
+    rng = np.random.default_rng(3)
+    n, d = 1200, 24
+    if kind == "gaussian":
+        x = rng.normal(size=(n, d)) + rng.uniform(-1e3, 1e3, size=d)
+    else:
+        x = rng.integers(0, 10, size=(40, d)).astype(float)[rng.integers(0, 40, n)]
+    ds = make_dataset(x, rng.integers(0, 3, n))
+    folds = stratified_kfold(ds, 5, rng)
+    base = [3, 0, 7]
+    sets = [sorted(rng.choice(range(8, d), size, replace=False)) for size in (1, 6, 16)]
+    with pytest.MonkeyPatch.context() as mp:
+        take_path(mp, refine=False)
+        want = _fold_votes(ds, folds, 5, base, sets)
+    with pytest.MonkeyPatch.context() as mp:
+        refined = record_refined(mp)
+        got = _fold_votes(ds, folds, 5, base, sets)  # 960 training rows: the refine path
+    for got_arr, want_arr in zip(got, want):
+        assert got_arr.tobytes() == want_arr.tobytes()
+    assert refined and all(refined)
+
+
+@pytest.mark.parametrize("n_sets", [1, 4])
+def test_refine_pass_on_all_duplicate_rows_stays_inside_the_pass_budget(n_sets):
+    # every row is one row, so every cell of every tile ties at the k-th
+    # distance: each tile's candidates are all its cells, too many to sum
+    # exactly, and it falls back to the column path in the fold's buffers.
+    # The pass then holds its two tile buffers, inside the pass budget, one
+    # k-NN vote's working copies of a tile, its per-set gathers and outputs
+    rng = np.random.default_rng(0)
+    n, d = 2000, 30
+    ds = make_dataset(np.ones((n, d)), rng.integers(0, 2, n))
+    folds = stratified_kfold(ds, 5, rng)
+    train = max(folds.train_indices(f).size for f in range(5))
+    rows = hefs.metrics._TILE_ELEMENTS // train
+    assert 2 * rows * train <= hefs.metrics._PASS_ELEMENTS
+    tile = np.zeros((rows, train))
+    tracemalloc.start()
+    try:
+        hefs.metrics._knn_from_d2(tile, ds.labels[:train], 5, 2)
+        _, knn_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sets = [list(range(d))] * n_sets
+    with pytest.MonkeyPatch.context() as mp:
+        refined = record_refined(mp)
+        tracemalloc.start()
+        try:
+            preds, _, _ = _fold_votes(ds, folds, 5, [], sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert refined and not any(refined)
+    # every training row ties, so each query takes the first k training rows
+    for f in range(5):
+        test, train_rows = folds.test_indices(f), folds.train_indices(f)
+        want = int(np.bincount(ds.labels[train_rows[:5]], minlength=2).argmax())
+        assert (preds[:, test] == want).all()
+    # per set: its gathers, q, -2q and t, with n-long norms and masks; the
+    # outputs: predictions and fractions, each fold's and the pass's
+    gathers = 3 * ds.features.nbytes + 8 * 8 * n
+    outputs = 2 * 16 * n_sets * n
+    assert peak <= 8 * 2 * rows * train + knn_peak + gathers + outputs
+
+
 # --- equal-width binning --------------------------------------------------------
 
 
