@@ -161,7 +161,10 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, dict]:
         except LabelColumnError as exc:
             raise ConfigError(f"--label-col {args.label_col}: {exc}") from exc
         source, noise = f"csv:{args.dataset}", None
-    ds = zscore_normalize(raw)
+    try:
+        ds = zscore_normalize(raw)
+    except DatasetError as exc:  # synthetic values are bounded, so this is a file's
+        raise DatasetError(f"{args.dataset}: {exc}") from exc
     # _validate_args refuses --label-col beside --synth, so it is None there
     info = {"source": source, "label_column": args.label_col, "label_noise": noise}
     info.update({"n": ds.n, "d": ds.d, "n_classes": ds.n_classes, "normalized": True})

@@ -249,10 +249,16 @@ def _column_index(names: Sequence[str], entry: str | int) -> int:
 def zscore_normalize(ds: Dataset) -> Dataset:
     """Standardize each column to zero mean and unit population variance.
 
-    Zero-variance columns become all zeros instead of dividing by zero.
+    Zero-variance columns become all zeros instead of dividing by zero. The
+    first column whose mean or standard deviation overflows is refused.
     """
-    mean = ds.features.mean(axis=0)
-    std = ds.features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = ds.features.mean(axis=0), ds.features.std(axis=0)
+    bad = np.flatnonzero(~np.isfinite(std))  # a non-finite mean makes std one too
+    if bad.size:
+        j = bad[0]
+        what = "mean" if not np.isfinite(mean[j]) else "standard deviation"
+        raise DatasetError(f"column {ds.feature_names[j]!r}: its {what} overflows float64")
     safe = np.where(std == 0.0, 1.0, std)
     out = ds.features - mean
     out /= safe

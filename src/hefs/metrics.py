@@ -39,7 +39,7 @@ class MetricsReport:
 # and the partition stay in cache instead of streaming a whole fold matrix,
 # and a small tile votes many sets per call instead of paying dispatch per set
 _TILE_ELEMENTS = 32 * 1600
-# distance cells a pass's 1 + sets tile buffers share (2 MB, one core's L2):
+# distance cells a column pass's 1 + sets tile buffers share (2 MB, one core's L2):
 # tiles get thinner as a pass votes more sets, so its memory stops growing
 # with the population size
 _PASS_ELEMENTS = 5 * _TILE_ELEMENTS
@@ -53,9 +53,6 @@ _MIN_TILE_ROWS = 16
 # columns); at 48-320 rows its per-set, per-tile dispatch costs up to 11x
 # more than the adds it saves
 _REFINE_MIN_TRAIN = 512
-# candidates one refine tile may take to exact sums; a tile with more (rows
-# tied over much of the training side) sums its columns on the column path
-_REFINE_MAX_CANDIDATES = _TILE_ELEMENTS // 4
 
 
 def _tile_rows(train_size: int, n_sets: int) -> int:
@@ -206,10 +203,8 @@ def _refine_fold(
     (len(set_cols), test.size). See _fold_votes for the method."""
     ntr = train.size
     k_eff = min(k, ntr)
-    step = max(1, _TILE_ELEMENTS // ntr)
-    # a tile's filter values and, should it fall back to the column path,
-    # its sums and their scratch: one allocation for the fold
-    flat = np.empty(2 * min(step, test.size) * ntr)
+    step = _tile_rows(ntr, 1)
+    tile = np.empty((min(step, test.size), ntr))  # filter values, one allocation
     preds = np.empty((len(set_cols), test.size), dtype=np.int64)
     pos_frac = np.empty((len(set_cols), test.size), dtype=np.float64)
     for s, cols in enumerate(set_cols):
@@ -219,24 +214,19 @@ def _refine_fold(
         scale = np.einsum("ij,ij->i", q, q) + t_sq.max()
         # no filter value or exact sum exceeds 4 * scale in magnitude, so
         # while that is finite none of them is inf or NaN (a NaN scale fails
-        # the test too); a set without columns has all distances 0 and every
-        # cell a candidate
+        # the test too)
         can_filter = (scale < np.finfo(np.float64).max / 4) & (len(cols) > 0)
         width = _band(scale, len(cols))
         q2 = -2.0 * q
         for lo in range(0, test.size, step):
             rows = slice(lo, lo + step)
-            g, scratch = flat[: 2 * q[rows].shape[0] * ntr].reshape(2, -1, ntr)
-            votes = None
+            g = tile[: width[rows].size]
             if can_filter[rows].all():
                 np.matmul(q2[rows], t.T, out=g)
                 g += t_sq
-                votes = _refine_tile(g, width[rows], q[rows], t, k_eff, train_y, n_classes)
-            if votes is None:
-                # the column path's sums: from zero, in the set's order
+            else:  # zero filter values: every cell of the tile is a candidate
                 g.fill(0.0)
-                _add_sq_distances(q[rows].T, t.T, [(j, [g]) for j in range(len(cols))], scratch)
-                votes = _knn_from_d2(g, train_y, k, n_classes)
+            votes = _refine_tile(g, width[rows], q[rows], t, k_eff, train_y, n_classes)
             preds[s, rows], pos_frac[s, rows] = votes
     return preds, pos_frac
 
@@ -249,34 +239,33 @@ def _refine_tile(
     k_eff: int,
     train_y: np.ndarray,
     n_classes: int,
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Vote the query rows q from their filter values g, (rows, train), and
-    band widths: the exact sums of each row's candidates go to _vote. None
-    when the candidates number more than _REFINE_MAX_CANDIDATES."""
+    band widths: the exact sums of each row's candidates go to _vote."""
     kth = np.partition(g, k_eff - 1, axis=1)[:, k_eff - 1].copy()
-    cand = np.flatnonzero(g <= (kth + width)[:, None])
-    if cand.size > _REFINE_MAX_CANDIDATES:
-        return None
+    row, col = np.divmod(np.flatnonzero(g <= (kth + width)[:, None]), g.shape[1])
     nq, m = q.shape
-    row = cand // g.shape[1]
-    col = cand - row * g.shape[1]
     # each candidate's q - t squares, summed from the first column on in one
     # sequential cumsum: the bits of the column path's adds. Chunked so each
-    # (candidates, m) block holds at most _TILE_ELEMENTS // 4 cells
-    dist = np.empty(cand.size)
-    chunk = max(1, _TILE_ELEMENTS // (4 * m))
-    for lo in range(0, cand.size, chunk):
-        sq = q[row[lo : lo + chunk]]
-        sq -= t[col[lo : lo + chunk]]
-        sq *= sq
-        dist[lo : lo + chunk] = np.cumsum(sq, axis=1)[:, -1]
+    # (candidates, m) block holds at most _TILE_ELEMENTS // 4 cells; a set
+    # without columns sums to zero
+    dist = np.zeros(row.size)
+    if m:
+        chunk = max(1, _TILE_ELEMENTS // (4 * m))
+        for lo in range(0, row.size, chunk):
+            sq = q[row[lo : lo + chunk]]
+            sq -= t[col[lo : lo + chunk]]
+            sq *= sq
+            dist[lo : lo + chunk] = np.cumsum(sq, axis=1)[:, -1]
     # each row's k-th smallest exact sum; every row has at least k_eff
     # candidates, the cells of its k_eff smallest filter values
-    order = np.lexsort((dist, row))
     n_cand = np.bincount(row, minlength=nq)
-    kth = dist[order[np.cumsum(n_cand) - n_cand + (k_eff - 1)]]
+    kth = dist[np.lexsort((dist, row))[np.cumsum(n_cand) - n_cand + (k_eff - 1)]]
     hit = np.flatnonzero(dist <= kth[row])
-    return _vote(row[hit], train_y[col[hit]], dist, hit, kth, k_eff, n_classes)
+    # the hits replace the candidates: an all-candidate tile holds what _knn_from_d2 does
+    row, label = row[hit], train_y[col[hit]]
+    del col
+    return _vote(row, label, dist, hit, kth, k_eff, n_classes)
 
 
 def _check_subset(ds: Dataset, feature_subset: Sequence[int], k: int) -> np.ndarray:
@@ -330,16 +319,16 @@ def _fold_votes(
 
     Filter-and-refine path, the multi-step k-NN search of Seidl and Kriegel
     (SIGMOD 1998). Per fold and set, the set's columns are gathered, and each
-    tile of max(1, _TILE_ELEMENTS // train) test rows makes one matrix
-    product, |t|^2 - 2 q.t, a filter that orders a row's cells as the squared
+    tile of _tile_rows(train.size, 1) test rows makes one matrix product,
+    |t|^2 - 2 q.t, a filter that orders a row's cells as the squared
     distance does, up to rounding. _band bounds that rounding, and the
     exact sum's, for any BLAS kernel and thread count. Each row keeps the
     cells whose filter value lies within the band of its k-th smallest: a
     superset of the cells at or below its k-th exact distance. Only these
     candidates get exact sums, formed as the column path forms them, and
-    they vote through _vote. A tile whose rows have a scale that is not
-    finite, or whose candidates number more than _REFINE_MAX_CANDIDATES, is
-    summed column by column in the fold's buffers and voted by _knn_from_d2.
+    they vote through _vote. A tile with a row the filter cannot rank, whose
+    scale is not below float max / 4, and a set without columns take zero
+    filter values instead, so every cell of the tile is a candidate.
 
     Memory: on the column path, the 1 + len(extra_sets) tile buffers, a
     scratch one and the sets', share one allocation of at most
@@ -347,10 +336,10 @@ def _fold_votes(
     float64 cells, so they grow with the number of sets only once the row
     floor binds. Beside them a pass holds one fold's gather of the columns it
     reads, one k-NN chunk's working copies, and the outputs, which grow with
-    sets * n. The refine path holds two tile buffers of at most
-    _TILE_ELEMENTS cells each, inside _PASS_ELEMENTS whatever the number of
-    sets; beside them one set's gathers, a tile's candidates and their exact
-    sums in blocks of _TILE_ELEMENTS // 4 cells, or one tile's k-NN working
+    sets * n. The refine path holds one tile buffer of at most
+    _TILE_ELEMENTS cells, whatever the number of sets; beside it one set's
+    gathers, a tile's candidates with their exact sums (formed in blocks of
+    _TILE_ELEMENTS // 4 cells) and at most one _knn_from_d2 call's working
     copies, and the outputs. Nothing grows with n squared.
     """
     pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]

@@ -208,6 +208,14 @@ def test_cli_data_errors_exit_1(tmp_path, capsys):
     assert run(["--dataset", str(single), "--label-col", "y"]) == 1
 
     assert run(SMALL_SYNTH + ["--baseline", f"file:{tmp_path / 'no.txt'}"]) == 1
+    capsys.readouterr()
+
+    # finite cells whose column mean overflows float64 cannot be z-scored
+    huge = tmp_path / "huge.csv"
+    huge.write_text("a,b,y\n1,1e308,u\n2,1.5e308,v\n3,1.7e308,u\n4,1e308,v\n")
+    assert run(["--dataset", str(huge), "--label-col", "y"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {huge}: column 'b': its mean overflows float64" in err
 
 
 def test_cli_conditional_file_with_byte_order_mark(tmp_path):

@@ -237,6 +237,23 @@ def test_zscore_constant_column_becomes_zero():
     np.testing.assert_array_equal(out.features[:, 0], [0.0, 0.0])
 
 
+def test_zscore_refuses_a_column_whose_standard_deviation_overflows():
+    # a finite mean, but squared deviations past float max: dividing by an
+    # infinite deviation would silently zero the column. Warnings are errors
+    # in this suite, so none may be raised on the way
+    ds = make_dataset([[1.0, 1e200], [2.0, -1e200], [3.0, 3e199], [4.0, -5e199]], [0, 1, 0, 1])
+    with pytest.raises(DatasetError, match=r"^column 'f1': its standard deviation overflows"):
+        zscore_normalize(ds)
+
+
+def test_zscore_refuses_a_column_whose_mean_overflows_naming_the_first():
+    ds = make_dataset(
+        [[1.0, 1e308, 1e308], [2.0, 1.5e308, 1.5e308], [3.0, 1.7e308, 1.7e308]], [0, 1, 0]
+    )
+    with pytest.raises(DatasetError, match=r"^column 'f1': its mean overflows"):
+        zscore_normalize(ds)
+
+
 @given(st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=2, max_size=40))
 def test_zscore_mean_zero_unit_variance(values):
     col = np.asarray(values, dtype=np.float64)

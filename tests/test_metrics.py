@@ -602,14 +602,13 @@ def scale_band(mp, factor):
 
 
 def record_refined(mp):
-    """Patch hefs.metrics._refine_tile to keep, per call, whether the tile
-    voted from its candidates (True) or fell back to the column path."""
+    """Patch hefs.metrics._refine_tile to count its calls, one per tile a
+    refine pass votes: the list holds each call's query-row count."""
     refine, refined = hefs.metrics._refine_tile, []
 
-    def recording_refine(*args):
-        votes = refine(*args)
-        refined.append(votes is not None)
-        return votes
+    def recording_refine(g, width, q, *args):
+        refined.append(q.shape[0])
+        return refine(g, width, q, *args)
 
     mp.setattr(hefs.metrics, "_refine_tile", recording_refine)
     return refined
@@ -669,9 +668,9 @@ def test_refine_pass_equals_column_pass(case, band, data):
         got = _fold_votes(ds, folds, k, base, sets)
     for got_arr, want_arr in zip(got, want):
         assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
-    # each fold is one tile here, and every set with columns votes it from
-    # its candidates; a set without columns takes the column path
-    assert refined == [True] * folds.n_folds * sum(1 for extra in sets if base or extra)
+    # each fold is one tile here, and every set votes it from its
+    # candidates, a set without columns included
+    assert len(refined) == folds.n_folds * len(sets)
 
 
 def test_band_is_load_bearing():
@@ -715,16 +714,42 @@ def test_refine_pass_equals_column_pass_at_scale(kind):
         got = _fold_votes(ds, folds, 5, base, sets)  # 960 training rows: the refine path
     for got_arr, want_arr in zip(got, want):
         assert got_arr.tobytes() == want_arr.tobytes()
-    assert refined and all(refined)
+    assert sum(refined) == len(sets) * ds.n
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_refine_pass_on_overflowing_scale_equals_column_pass(k):
+    # columns at 1e200 overflow the scale |q|^2 + max|t|^2, so the filter
+    # cannot rank their rows and every cell of their tiles is a candidate;
+    # their squares overflow to inf on both paths. Rows copy a few integer
+    # prototypes, so whole groups tie, and one-ulp nudges make near-ties. A
+    # base on the 1e100 and unit columns alone still filters
+    rng = np.random.default_rng(5)
+    n = 90
+    protos = rng.integers(0, 4, size=(6, 4)).astype(float)
+    x = protos[rng.integers(0, 6, n)] * np.array([1e200, 1e200, 1e100, 1.0])
+    nudge = rng.random(x.shape) < 0.2
+    x[nudge] = np.nextafter(x[nudge], np.inf)
+    ds = make_dataset(x, rng.integers(0, 3, n))
+    folds = stratified_kfold(ds, 3, rng)
+    sets = [[], [1], [3], [1, 2, 3]]
+    for base in ([0], [2, 3], []):
+        with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
+            take_path(mp, refine=False)
+            want = _fold_votes(ds, folds, k, base, sets)
+            take_path(mp, refine=True)
+            got = _fold_votes(ds, folds, k, base, sets)
+        for got_arr, want_arr in zip(got, want):
+            assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
 
 
 @pytest.mark.parametrize("n_sets", [1, 4])
 def test_refine_pass_on_all_duplicate_rows_stays_inside_the_pass_budget(n_sets):
     # every row is one row, so every cell of every tile ties at the k-th
-    # distance: each tile's candidates are all its cells, too many to sum
-    # exactly, and it falls back to the column path in the fold's buffers.
-    # The pass then holds its two tile buffers, inside the pass budget, one
-    # k-NN vote's working copies of a tile, its per-set gathers and outputs
+    # distance: each tile's candidates are all its cells, and it sums and
+    # votes every one. The pass then holds its tile buffer and the cells'
+    # exact sums, two tiles inside the pass budget, one k-NN vote's working
+    # copies of a tile, its per-set gathers and outputs
     rng = np.random.default_rng(0)
     n, d = 2000, 30
     ds = make_dataset(np.ones((n, d)), rng.integers(0, 2, n))
@@ -748,7 +773,7 @@ def test_refine_pass_on_all_duplicate_rows_stays_inside_the_pass_budget(n_sets):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert refined and not any(refined)
+    assert sum(refined) == n_sets * n  # every tile refines
     # every training row ties, so each query takes the first k training rows
     for f in range(5):
         test, train_rows = folds.test_indices(f), folds.train_indices(f)
