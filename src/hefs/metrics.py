@@ -53,6 +53,12 @@ _MIN_TILE_ROWS = 16
 # columns); at 48-320 rows its per-set, per-tile dispatch costs up to 11x
 # more than the adds it saves
 _REFINE_MIN_TRAIN = 512
+# cells per block of the refine filter's k-th value bound (see _kth_bound):
+# one minimum per block is partitioned instead of every cell. Per pass on
+# one core, over 512-1600 training rows, blocks of 8 and 16 made the refine
+# path 1.31x and 1.30x faster (geometric mean) and 32 1.18x; 16 was the
+# fastest at 1600 rows (BENCH_20.json)
+_BLOCK = 16
 
 
 def _tile_rows(train_size: int, n_sets: int) -> int:
@@ -180,8 +186,9 @@ def _band(scale: np.ndarray, m: int) -> np.ndarray:
     Each cell's filter value plus |q|^2 is thus within E = 4 gamma(m + 2) *
     scale of its exact sum, and a cell whose exact sum is at most the k-th
     smallest one has a filter value at most the k-th smallest filter value
-    plus 2E. The band is 2E with gamma(m + 4) in place of gamma(m + 2), which
-    covers the rounding of scale and of the threshold, plus 4 (m + 1) of the
+    plus 2E, and so at most U + 2E for any U at or above that k-th value.
+    The band is 2E with gamma(m + 4) in place of gamma(m + 2), which covers
+    the rounding of scale and of the threshold, plus 4 (m + 1) of the
     smallest subnormal for products and squares that underflow.
     """
     u = 2.0**-53
@@ -200,7 +207,18 @@ def _refine_fold(
 ) -> tuple[np.ndarray, np.ndarray]:
     """k-NN votes of one fold's test rows for each set of feature columns,
     summed in the given order: predictions and class-1 vote fractions, each
-    (len(set_cols), test.size). See _fold_votes for the method."""
+    (len(set_cols), test.size). See _fold_votes for the method.
+
+    A row's candidates are the cells whose filter value is at most U plus
+    its band, where U, from _kth_bound, is at or above the row's k_eff-th
+    smallest filter value. Any such U serves: a cell whose exact sum is at
+    most the row's k_eff-th smallest one has a filter value at most that
+    k_eff-th filter value plus the band (see _band), so at most U plus the
+    band; and the k_eff cells of the smallest filter values lie at or below
+    U, so every row has at least k_eff candidates. Each set holds its tiles'
+    candidates, as flat cell indices, and votes them in one _refine_step
+    per fold, or in more if they would pass _TILE_ELEMENTS cells: the held
+    ones are voted before a tile's candidates take them past it."""
     ntr = train.size
     k_eff = min(k, ntr)
     step = _tile_rows(ntr, 1)
@@ -218,6 +236,9 @@ def _refine_fold(
         can_filter = (scale < np.finfo(np.float64).max / 4) & (len(cols) > 0)
         width = _band(scale, len(cols))
         q2 = -2.0 * q
+        # the candidates of test rows first.., flat indices into the fold's
+        # (test, train) grid, one array per tile, and how many they are
+        held, n_held, first = [], 0, 0
         for lo in range(0, test.size, step):
             rows = slice(lo, lo + step)
             g = tile[: width[rows].size]
@@ -226,25 +247,58 @@ def _refine_fold(
                 g += t_sq
             else:  # zero filter values: every cell of the tile is a candidate
                 g.fill(0.0)
-            votes = _refine_tile(g, width[rows], q[rows], t, k_eff, train_y, n_classes)
-            preds[s, rows], pos_frac[s, rows] = votes
+            near = g <= (_kth_bound(g, k_eff) + width[rows])[:, None]
+            n_near = np.count_nonzero(near)
+            # vote what is held before these candidates would take it past
+            # _TILE_ELEMENTS cells
+            if held and n_held + n_near > _TILE_ELEMENTS:
+                preds[s, first:lo], pos_frac[s, first:lo] = _refine_step(
+                    held, first, lo, q, t, k_eff, train_y, n_classes
+                )
+                n_held, first = 0, lo
+            held.append(np.flatnonzero(near) + lo * ntr)
+            n_held += n_near
+        hi = test.size
+        preds[s, first:hi], pos_frac[s, first:hi] = _refine_step(
+            held, first, hi, q, t, k_eff, train_y, n_classes
+        )
     return preds, pos_frac
 
 
-def _refine_tile(
-    g: np.ndarray,
-    width: np.ndarray,
+def _kth_bound(g: np.ndarray, k_eff: int) -> np.ndarray:
+    """Per row of g, (rows, t), an upper bound on its k_eff-th smallest
+    value: the k_eff-th smallest minimum of the row's strided blocks, block
+    b holding cells b, b + n, b + 2n, ... for n = t // block blocks of block
+    = min(_BLOCK, t // k_eff) cells (a remainder of t mod block cells is in
+    none). The blocks are disjoint and there are at least k_eff of them, so
+    the k_eff smallest minima are k_eff distinct cells at or below the
+    bound. With blocks of one cell the bound is the k_eff-th value itself."""
+    rows, t = g.shape
+    block = min(_BLOCK, t // k_eff)
+    n = t // block
+    mins = np.minimum.reduce(g[:, : block * n].reshape(rows, block, n), axis=1)
+    return np.partition(mins, k_eff - 1, axis=1)[:, k_eff - 1]
+
+
+def _refine_step(
+    held: list[np.ndarray],
+    lo: int,
+    hi: int,
     q: np.ndarray,
     t: np.ndarray,
     k_eff: int,
     train_y: np.ndarray,
     n_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vote the query rows q from their filter values g, (rows, train), and
-    band widths: the exact sums of each row's candidates go to _vote."""
-    kth = np.partition(g, k_eff - 1, axis=1)[:, k_eff - 1].copy()
-    row, col = np.divmod(np.flatnonzero(g <= (kth + width)[:, None]), g.shape[1])
-    nq, m = q.shape
+    """Vote the query rows lo..hi of q from their candidate cells: held's
+    arrays, in order, hold flat indices into the (len(q), len(t)) grid,
+    ascending. The step empties held. The exact sums of each row's
+    candidates go to _vote."""
+    cells = held[0] if len(held) == 1 else np.concatenate(held)
+    held.clear()
+    row, col = np.divmod(cells, t.shape[0])
+    del cells
+    m = q.shape[1]
     # each candidate's q - t squares, summed from the first column on in one
     # sequential cumsum: the bits of the column path's adds. Chunked so each
     # (candidates, m) block holds at most _TILE_ELEMENTS // 4 cells; a set
@@ -252,17 +306,18 @@ def _refine_tile(
     dist = np.zeros(row.size)
     if m:
         chunk = max(1, _TILE_ELEMENTS // (4 * m))
-        for lo in range(0, row.size, chunk):
-            sq = q[row[lo : lo + chunk]]
-            sq -= t[col[lo : lo + chunk]]
+        for c in range(0, row.size, chunk):
+            sq = q[row[c : c + chunk]]
+            sq -= t[col[c : c + chunk]]
             sq *= sq
-            dist[lo : lo + chunk] = np.cumsum(sq, axis=1)[:, -1]
+            dist[c : c + chunk] = np.cumsum(sq, axis=1)[:, -1]
     # each row's k-th smallest exact sum; every row has at least k_eff
-    # candidates, the cells of its k_eff smallest filter values
-    n_cand = np.bincount(row, minlength=nq)
+    # candidates (see _refine_fold)
+    row -= lo
+    n_cand = np.bincount(row, minlength=hi - lo)
     kth = dist[np.lexsort((dist, row))[np.cumsum(n_cand) - n_cand + (k_eff - 1)]]
     hit = np.flatnonzero(dist <= kth[row])
-    # the hits replace the candidates: an all-candidate tile holds what _knn_from_d2 does
+    # the hits replace the candidates: an all-candidate step holds what _knn_from_d2 does
     row, label = row[hit], train_y[col[hit]]
     del col
     return _vote(row, label, dist, hit, kth, k_eff, n_classes)
@@ -323,12 +378,17 @@ def _fold_votes(
     |t|^2 - 2 q.t, a filter that orders a row's cells as the squared
     distance does, up to rounding. _band bounds that rounding, and the
     exact sum's, for any BLAS kernel and thread count. Each row keeps the
-    cells whose filter value lies within the band of its k-th smallest: a
-    superset of the cells at or below its k-th exact distance. Only these
-    candidates get exact sums, formed as the column path forms them, and
-    they vote through _vote. A tile with a row the filter cannot rank, whose
-    scale is not below float max / 4, and a set without columns take zero
-    filter values instead, so every cell of the tile is a candidate.
+    cells whose filter value lies within the band of an upper bound U on
+    its k-th smallest filter value: for any such U, a superset of the cells
+    at or below its k-th exact distance. U is the k-th smallest of the
+    minima of the row's strided blocks of _BLOCK cells (fewer when the row
+    is short), so only the block minima are partitioned. A set's tiles hold
+    their candidates until one step per fold gives them exact sums, formed
+    as the column path forms them, and votes them through _vote; a step
+    runs early if the held candidates would pass _TILE_ELEMENTS. A tile with
+    a row the filter cannot rank, whose scale is not below float max / 4,
+    and a set without columns take zero filter values instead, so every
+    cell of the tile is a candidate.
 
     Memory: on the column path, the 1 + len(extra_sets) tile buffers, a
     scratch one and the sets', share one allocation of at most
@@ -338,9 +398,10 @@ def _fold_votes(
     reads, one k-NN chunk's working copies, and the outputs, which grow with
     sets * n. The refine path holds one tile buffer of at most
     _TILE_ELEMENTS cells, whatever the number of sets; beside it one set's
-    gathers, a tile's candidates with their exact sums (formed in blocks of
-    _TILE_ELEMENTS // 4 cells) and at most one _knn_from_d2 call's working
-    copies, and the outputs. Nothing grows with n squared.
+    gathers, at most _TILE_ELEMENTS held candidates (or one tile's, when a
+    one-row tile has more cells), one step's exact sums of them (formed
+    in blocks of _TILE_ELEMENTS // 4 cells) and working copies the size of
+    one _knn_from_d2 call's, and the outputs. Nothing grows with n squared.
     """
     pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
     n_sets = len(extra_sets)

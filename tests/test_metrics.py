@@ -602,15 +602,15 @@ def scale_band(mp, factor):
 
 
 def record_refined(mp):
-    """Patch hefs.metrics._refine_tile to count its calls, one per tile a
-    refine pass votes: the list holds each call's query-row count."""
-    refine, refined = hefs.metrics._refine_tile, []
+    """Patch hefs.metrics._refine_step to count its calls, one per exact-sum
+    and vote step of a refine pass: the list holds each call's query-row count."""
+    refine, refined = hefs.metrics._refine_step, []
 
-    def recording_refine(g, width, q, *args):
-        refined.append(q.shape[0])
-        return refine(g, width, q, *args)
+    def recording_refine(held, lo, hi, *args):
+        refined.append(hi - lo)
+        return refine(held, lo, hi, *args)
 
-    mp.setattr(hefs.metrics, "_refine_tile", recording_refine)
+    mp.setattr(hefs.metrics, "_refine_step", recording_refine)
     return refined
 
 
@@ -668,8 +668,8 @@ def test_refine_pass_equals_column_pass(case, band, data):
         got = _fold_votes(ds, folds, k, base, sets)
     for got_arr, want_arr in zip(got, want):
         assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
-    # each fold is one tile here, and every set votes it from its
-    # candidates, a set without columns included
+    # each fold is one tile here, whose candidates fit one step, so every
+    # set votes each fold in one step, a set without columns included
     assert len(refined) == folds.n_folds * len(sets)
 
 
@@ -743,13 +743,102 @@ def test_refine_pass_on_overflowing_scale_equals_column_pass(k):
             assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
 
 
+def test_refine_pass_on_scale_past_a_quarter_of_the_float_maximum_equals_column_pass():
+    # one column: test row a, training rows far, mid and near. The scale
+    # a^2 + far^2 is 0.9 of the float maximum: finite, but not below a
+    # quarter of it. far's filter value far^2 - 2 a far overflows to inf and
+    # mid's does not, yet both exact sums overflow, so after near they tie at
+    # inf and the column path admits far, the lower training row: at k = 2,
+    # near and far vote class 1. A filter that ranked this row would keep
+    # mid, not far, and near and mid would tie the vote to class 0
+    big = np.finfo(np.float64).max
+    root = np.sqrt(big)
+    a, far, mid, near = np.sqrt(0.3) * root, -np.sqrt(0.6) * root, -0.5 * root, 0.9 * np.sqrt(0.3) * root
+    ds = make_dataset([[a], [far], [mid], [near]], [0, 1, 0, 1])
+    folds = FoldAssignment(np.array([0, 1, 1, 1]), 2)
+    with np.errstate(over="ignore"):
+        assert big / 4 <= a * a + far * far < big
+        assert far * far - 2.0 * a * far == np.inf and np.isfinite(mid * mid - 2.0 * a * mid)
+        assert (a - far) ** 2 == (a - mid) ** 2 == np.inf and np.isfinite((a - near) ** 2)
+        with pytest.MonkeyPatch.context() as mp:
+            take_path(mp, refine=False)
+            want = _fold_votes(ds, folds, 2, [0], [()])
+            take_path(mp, refine=True)
+            got = _fold_votes(ds, folds, 2, [0], [()])
+    assert want[0][0, 0] == 1
+    for got_arr, want_arr in zip(got, want):
+        assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
+
+
+# filter values with exact ties, repeats, both zeros and magnitudes from
+# 1e-150 to 1e150 of either sign
+bound_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-150, -1e-150, 1e150, -1e150]),
+    st.builds(lambda m, p: m * 10.0**p, st.integers(-9, 9), st.integers(-150, 150)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.sampled_from([1, 2, 3, 5, 8, 16, 32]), data=st.data())
+def test_refine_block_bound_is_at_or_above_the_kth_filter_value(block, data):
+    # rows of t cells from a pool of a few values; t need not be a multiple
+    # of the block, and a large k_eff shrinks the block to t // k_eff cells,
+    # down to one, where the bound is the k_eff-th value itself
+    t = data.draw(st.integers(1, 70))
+    n_rows = data.draw(st.integers(1, 4))
+    pool = data.draw(st.lists(bound_values, min_size=1, max_size=8))
+    cells = data.draw(st.lists(st.sampled_from(pool), min_size=n_rows * t, max_size=n_rows * t))
+    g = np.array(cells).reshape(n_rows, t)
+    before = g.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hefs.metrics, "_BLOCK", block)
+        for k_eff in range(1, t + 1):
+            bound = hefs.metrics._kth_bound(g, k_eff)
+            kth = np.sort(g, axis=1)[:, k_eff - 1]
+            assert (bound >= kth).all(), k_eff
+            if min(block, t // k_eff) == 1:
+                assert (bound == kth).all(), k_eff
+    assert g.tobytes() == before
+
+
+@pytest.mark.parametrize("tile_rows", [None, 3])
+def test_refine_pass_with_k_past_the_block_count_equals_column_pass(tile_rows):
+    # rows copy 30 prototypes, so whole groups tie at the k-th distance, with
+    # 3 classes. 360 training rows make 22 blocks of 16 cells, so k = 30 and
+    # 200 shrink the block to t // k cells (12 and 1), and k = 400 reaches
+    # past the training fold. Tiles of 3 rows, with the held candidates'
+    # budget cut to match, make each set vote a fold in several steps
+    rng = np.random.default_rng(11)
+    n, d = 540, 8
+    protos = rng.integers(0, 4, size=(30, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    ds = make_dataset(protos[rng.integers(0, 30, n)], rng.integers(0, 3, n))
+    folds = stratified_kfold(ds, 3, rng)
+    base = [2, 0]
+    sets = [[], [1], [3, 5, 7], [1, 3, 4, 5, 6, 7]]
+    for k in (1, 5, 30, 200, 400):
+        with pytest.MonkeyPatch.context() as mp:
+            if tile_rows:
+                force_tile_rows(mp, folds, tile_rows)
+            take_path(mp, refine=False)
+            want = _fold_votes(ds, folds, k, base, sets)
+            take_path(mp, refine=True)
+            refined = record_refined(mp)
+            got = _fold_votes(ds, folds, k, base, sets)
+        for got_arr, want_arr in zip(got, want):
+            assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
+        assert sum(refined) == len(sets) * ds.n
+        if tile_rows and k >= 30:
+            assert len(refined) > folds.n_folds * len(sets)
+
+
 @pytest.mark.parametrize("n_sets", [1, 4])
 def test_refine_pass_on_all_duplicate_rows_stays_inside_the_pass_budget(n_sets):
     # every row is one row, so every cell of every tile ties at the k-th
-    # distance: each tile's candidates are all its cells, and it sums and
-    # votes every one. The pass then holds its tile buffer and the cells'
-    # exact sums, two tiles inside the pass budget, one k-NN vote's working
-    # copies of a tile, its per-set gathers and outputs
+    # distance: each tile's candidates are all its cells, a full step's
+    # worth, so the held ones are voted before the next tile's join them.
+    # The pass then holds its tile buffer and the cells' exact sums, two
+    # tiles inside the pass budget, one k-NN vote's working copies of a
+    # tile, its per-set gathers and outputs
     rng = np.random.default_rng(0)
     n, d = 2000, 30
     ds = make_dataset(np.ones((n, d)), rng.integers(0, 2, n))
@@ -773,7 +862,7 @@ def test_refine_pass_on_all_duplicate_rows_stays_inside_the_pass_budget(n_sets):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert sum(refined) == n_sets * n  # every tile refines
+    assert sum(refined) == n_sets * n  # every row of every set is voted
     # every training row ties, so each query takes the first k training rows
     for f in range(5):
         test, train_rows = folds.test_indices(f), folds.train_indices(f)
