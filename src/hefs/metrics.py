@@ -37,7 +37,8 @@ class MetricsReport:
 # at most max(1, _TILE_ELEMENTS // train.size) rows, and a tile's sets go to
 # k-NN in chunks of max(1, _TILE_ELEMENTS // tile.size), so a tile's buffers
 # and the partition stay in cache instead of streaming a whole fold matrix,
-# and a small tile votes many sets per call instead of paying dispatch per set
+# and a small tile votes many sets per call instead of paying dispatch per set.
+# The refine path's float32 filter tiles take twice the rows in the same bytes
 _TILE_ELEMENTS = 32 * 1600
 # distance cells a column pass's 1 + sets tile buffers share (2 MB, one core's L2):
 # tiles get thinner as a pass votes more sets, so its memory stops growing
@@ -47,18 +48,22 @@ _PASS_ELEMENTS = 5 * _TILE_ELEMENTS
 # Python and ufunc dispatch per distance than the memory they save
 _MIN_TILE_ROWS = 16
 # a pass whose every training fold holds at least this many rows votes
-# through the filter-and-refine path. Per pass, on one core: from 512
-# training rows on, one matrix product per set beats the column adds up to
-# 7x on sets of 31-60 columns, and loses at most 1.4x (30 sets of 4
-# columns); at 48-320 rows its per-set, per-tile dispatch costs up to 11x
-# more than the adds it saves
+# through the filter-and-refine path. Per pass, on one core: at 512-1600
+# training rows, the refine path beats the column adds 1.2x (30 sets of 31
+# columns at 512 rows) to 9.3x (one set of 31 columns at 1600 rows)
+# (BENCH_22.json); at 48-320 rows its per-set, per-tile dispatch cost up to
+# 11x more than the adds it saves (BENCH_18.json, float64 filter)
 _REFINE_MIN_TRAIN = 512
 # cells per block of the refine filter's k-th value bound (see _kth_bound):
 # one minimum per block is partitioned instead of every cell. Per pass on
 # one core, over 512-1600 training rows, blocks of 8 and 16 made the refine
 # path 1.31x and 1.30x faster (geometric mean) and 32 1.18x; 16 was the
-# fastest at 1600 rows (BENCH_20.json)
+# fastest at 1600 rows (BENCH_20.json, float64 filter)
 _BLOCK = 16
+# a refine row is ranked by the float32 filter only while its scale, |q|^2 +
+# max |t|^2, lies below this: then no filter operand, partial sum or
+# threshold leaves float32 range (see _band)
+_FILTER_MAX = float(np.finfo(np.float32).max) / 4
 
 
 def _tile_rows(train_size: int, n_sets: int) -> int:
@@ -177,90 +182,142 @@ def _band(scale: np.ndarray, m: int) -> np.ndarray:
     the row's |q|^2 plus the largest |t|^2 of the fold, over the set's m
     columns.
 
-    With u = 2^-53 and gamma(n) = n u / (1 - n u), Higham's dot-product bound
-    (Accuracy and Stability of Numerical Algorithms, 3.1) holds for any
-    summation order, so for any BLAS kernel: the filter value |t|^2 - 2 q.t
-    lies within 2 gamma(m + 1) (|q|^2 + |t|^2) of the true D - |q|^2, and the
-    column path's sum of m rounded squares of rounded differences lies within
-    gamma(m + 2) D <= 2 gamma(m + 2) (|q|^2 + |t|^2) of the true distance D.
-    Each cell's filter value plus |q|^2 is thus within E = 4 gamma(m + 2) *
-    scale of its exact sum, and a cell whose exact sum is at most the k-th
-    smallest one has a filter value at most the k-th smallest filter value
-    plus 2E, and so at most U + 2E for any U at or above that k-th value.
-    The band is 2E with gamma(m + 4) in place of gamma(m + 2), which covers
-    the rounding of scale and of the threshold, plus 4 (m + 1) of the
-    smallest subnormal for products and squares that underflow.
+    The filter value is the float32 dot product [-2q, 1] . [t, |t|^2] of
+    the float32-rounded operands (see _filter_operands). With u = 2^-24,
+    lam = 2^-149 (the smallest float32 subnormal) and gamma(n) = n u / (1 -
+    n u), and X = |q|^2 + |t|^2 <= scale (up to float64 rounding):
+    - rounding the operands moves each by at most u of itself plus lam / 2,
+      so, with 2|q_j t_j| <= q_j^2 + t_j^2 and |x| <= (1 + x^2) / 2 for the
+      underflow terms, their exact dot product lies within about 3u X + m lam
+      of the true |t|^2 - 2 q.t = D - |q|^2, D the exact squared distance;
+    - Higham's dot-product bound (Accuracy and Stability of Numerical
+      Algorithms, 3.1), which holds for any summation order, with or without
+      fused multiply-adds, and so for any BLAS kernel and thread count, puts
+      the float32 result within gamma(m + 1) of the operands' absolute
+      products, at most 2X, plus lam / 2 per product that underflows;
+    - the column path's float64 sum of m rounded squares of rounded
+      differences lies within gamma_64(m + 2) D <= 2 gamma_64(m + 2) X of D.
+    Together, for m below 2^20, each cell's filter value plus |q|^2 lies
+    within E = 2 gamma(m + 4) scale + 2 (m + 1) lam of its exact sum. A cell
+    whose exact sum is at most the k-th smallest one then has a filter value
+    at most the k-th smallest filter value plus 2E, and so at most U + 2E
+    for any U at or above that k-th value. The band is 2E with gamma(m + 5)
+    in place of gamma(m + 4), which covers the rounding of the band and of
+    U plus the band in float64.
     """
-    u = 2.0**-53
-    gamma = (m + 4) * u / (1.0 - (m + 4) * u)
-    return 8.0 * gamma * scale + 4 * (m + 1) * 2.0**-1074
+    u = 2.0**-24
+    gamma = (m + 5) * u / (1.0 - (m + 5) * u)
+    return 4.0 * gamma * scale + 4 * (m + 1) * 2.0**-149
+
+
+def _filter_operands(
+    q: np.ndarray, t: np.ndarray, rows: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 operands of the refine filter for the set of columns held
+    in the given rows of q (features, queries) and t (features, train), in
+    that order: [-2q, 1], (queries, m + 1), and [t, |t|^2] transposed, (m +
+    1, train), whose product's cell (i, j) is query i's filter value for
+    training row j; and each query's float64 scale, |q|^2 + max |t|^2.
+    Values past float32 range become inf, and squares past float64 range
+    inf, without a warning; a row whose scale is not below _FILTER_MAX is
+    never ranked."""
+    m = len(rows)
+    lhs = np.empty((q.shape[1], m + 1), dtype=np.float32)
+    rhs = np.empty((m + 1, t.shape[1]), dtype=np.float32)
+    q_sq, t_sq = np.zeros(q.shape[1]), np.zeros(t.shape[1])
+    # the set's columns are copied a block at a time, each of at most
+    # _TILE_ELEMENTS // 4 float64 cells, not all at once beside the fold's
+    n_cols = max(1, _TILE_ELEMENTS // (4 * (q.shape[1] + t.shape[1])))
+    with np.errstate(over="ignore"):
+        for c in range(0, m, n_cols):
+            block = rows[c : c + n_cols]
+            q_block, t_block = q[block], t[block]
+            np.multiply(q_block.T, -2.0, out=lhs[:, c : c + len(block)])
+            rhs[c : c + len(block)] = t_block
+            q_sq += np.einsum("ij,ij->j", q_block, q_block)
+            t_sq += np.einsum("ij,ij->j", t_block, t_block)
+        rhs[m] = t_sq
+    lhs[:, m] = 1.0
+    return lhs, rhs, q_sq + t_sq.max()
+
+
+def _round_up32(x: np.ndarray) -> np.ndarray:
+    """The least float32 at or above each float64 of x, all below the float32
+    maximum: for a float32 g, g <= x exactly when g <= _round_up32(x)."""
+    y = x.astype(np.float32)
+    return np.where(y < x, np.nextafter(y, np.float32(np.inf)), y)
 
 
 def _refine_fold(
-    features: np.ndarray,
-    test: np.ndarray,
-    train: np.ndarray,
-    set_cols: Sequence[Sequence[int]],
+    test_x: np.ndarray,
+    train_x: np.ndarray,
+    set_rows: Sequence[Sequence[int]],
     k: int,
     train_y: np.ndarray,
     n_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """k-NN votes of one fold's test rows for each set of feature columns,
-    summed in the given order: predictions and class-1 vote fractions, each
-    (len(set_cols), test.size). See _fold_votes for the method.
+    """k-NN votes of one fold's test rows for each set of feature columns:
+    predictions and class-1 vote fractions, each (len(set_rows),
+    test rows). test_x and train_x hold one feature per row, and a set sums
+    its rows of them in the given order. See _fold_votes for the method.
 
-    A row's candidates are the cells whose filter value is at most U plus
-    its band, where U, from _kth_bound, is at or above the row's k_eff-th
-    smallest filter value. Any such U serves: a cell whose exact sum is at
-    most the row's k_eff-th smallest one has a filter value at most that
-    k_eff-th filter value plus the band (see _band), so at most U plus the
-    band; and the k_eff cells of the smallest filter values lie at or below
-    U, so every row has at least k_eff candidates. Each set holds its tiles'
-    candidates, as flat cell indices, and votes them in one _refine_step
-    per fold, or in more if they would pass _TILE_ELEMENTS cells: the held
-    ones are voted before a tile's candidates take them past it."""
-    ntr = train.size
+    The filter is float32: each tile of test rows makes one float32 matrix
+    product of the set's _filter_operands, twice the rows of a float64 tile
+    in the same bytes. A row's candidates are the cells whose filter value
+    is at most U plus its band, where U, from _kth_bound, is at or above the
+    row's k_eff-th smallest filter value. Any such U serves: a cell whose
+    exact sum is at most the row's k_eff-th smallest one has a filter value
+    at most that k_eff-th filter value plus the band (see _band), so at most
+    U plus the band; and the k_eff cells of the smallest filter values lie
+    at or below U, so every row has at least k_eff candidates. Each set
+    holds its tiles' candidates, as flat cell indices, and votes them in one
+    float64 _refine_step per fold, or in more if the step's block of rows by
+    its widest row would pass _TILE_ELEMENTS cells: the held ones are voted
+    before a tile's candidates take the block past it, and a tile too wide
+    for one step is held in slices of rows."""
+    (_, nq), ntr = test_x.shape, train_x.shape[1]
     k_eff = min(k, ntr)
-    step = _tile_rows(ntr, 1)
-    tile = np.empty((min(step, test.size), ntr))  # filter values, one allocation
-    preds = np.empty((len(set_cols), test.size), dtype=np.int64)
-    pos_frac = np.empty((len(set_cols), test.size), dtype=np.float64)
-    for s, cols in enumerate(set_cols):
-        # one row per sample, the set's columns in its summation order
-        q, t = features[np.ix_(test, cols)], features[np.ix_(train, cols)]
-        t_sq = np.einsum("ij,ij->i", t, t)
-        scale = np.einsum("ij,ij->i", q, q) + t_sq.max()
-        # no filter value or exact sum exceeds 4 * scale in magnitude, so
-        # while that is finite none of them is inf or NaN (a NaN scale fails
-        # the test too)
-        can_filter = (scale < np.finfo(np.float64).max / 4) & (len(cols) > 0)
-        width = _band(scale, len(cols))
-        q2 = -2.0 * q
+    step = max(1, 2 * _TILE_ELEMENTS // ntr)
+    tile = np.empty((min(step, nq), ntr), dtype=np.float32)  # filter values, one allocation
+    preds = np.empty((len(set_rows), nq), dtype=np.int64)
+    pos_frac = np.empty((len(set_rows), nq), dtype=np.float64)
+    for s, rows in enumerate(set_rows):
+        lhs, rhs, scale = _filter_operands(test_x, train_x, rows)
+        # below a quarter of the float32 maximum no operand, partial sum or
+        # threshold of the filter leaves float32 range (a NaN scale fails the
+        # test too); a set without columns has zero filter values
+        can_filter = scale < _FILTER_MAX
+        width = _band(scale, len(rows))
+        # the exact sums read the set's columns where the fold holds them
+        q, t = [test_x[j] for j in rows], [train_x[j] for j in rows]
         # the candidates of test rows first.., flat indices into the fold's
-        # (test, train) grid, one array per tile, and how many they are
-        held, n_held, first = [], 0, 0
-        for lo in range(0, test.size, step):
-            rows = slice(lo, lo + step)
-            g = tile[: width[rows].size]
-            if can_filter[rows].all():
-                np.matmul(q2[rows], t.T, out=g)
-                g += t_sq
-            else:  # zero filter values: every cell of the tile is a candidate
-                g.fill(0.0)
-            near = g <= (_kth_bound(g, k_eff) + width[rows])[:, None]
-            n_near = np.count_nonzero(near)
-            # vote what is held before these candidates would take it past
-            # _TILE_ELEMENTS cells
-            if held and n_held + n_near > _TILE_ELEMENTS:
-                preds[s, first:lo], pos_frac[s, first:lo] = _refine_step(
-                    held, first, lo, q, t, k_eff, train_y, n_classes
-                )
-                n_held, first = 0, lo
-            held.append(np.flatnonzero(near) + lo * ntr)
-            n_held += n_near
-        hi = test.size
-        preds[s, first:hi], pos_frac[s, first:hi] = _refine_step(
-            held, first, hi, q, t, k_eff, train_y, n_classes
+        # (test, train) grid, one array per slice, and the widest row's count
+        held, first, widest = [], 0, 0
+        for lo in range(0, nq, step):
+            g = tile[: nq - lo]
+            hi = lo + len(g)
+            if can_filter[lo:hi].all():
+                np.matmul(lhs[lo:hi], rhs, out=g)
+                near = g <= _round_up32(_kth_bound(g, k_eff) + width[lo:hi])[:, None]
+            else:  # every cell of the tile is a candidate
+                near = np.ones(g.shape, dtype=bool)
+            # the widest row's candidates, counted from near's bytes; the
+            # tile is held in slices of rows narrow enough for one step
+            wide = int(near.view(np.uint8).sum(axis=1, dtype=np.uint32).max())
+            n_rows = max(1, _TILE_ELEMENTS // wide)
+            for a in range(lo, hi, n_rows):
+                b = min(a + n_rows, hi)
+                # vote what is held before these rows would take the step's
+                # block past _TILE_ELEMENTS cells
+                if held and (b - first) * max(widest, wide) > _TILE_ELEMENTS:
+                    preds[s, first:a], pos_frac[s, first:a] = _refine_step(
+                        held, first, a, q, t, k_eff, train_y, n_classes
+                    )
+                    first, widest = a, 0
+                held.append(np.flatnonzero(near[a - lo : b - lo]) + a * ntr)
+                widest = max(widest, wide)
+        preds[s, first:], pos_frac[s, first:] = _refine_step(
+            held, first, nq, q, t, k_eff, train_y, n_classes
         )
     return preds, pos_frac
 
@@ -280,6 +337,19 @@ def _kth_bound(g: np.ndarray, k_eff: int) -> np.ndarray:
     return np.partition(mins, k_eff - 1, axis=1)[:, k_eff - 1]
 
 
+def _kth_smallest(dist: np.ndarray, row: np.ndarray, n_rows: int, k_eff: int) -> np.ndarray:
+    """Each of n_rows rows' k_eff-th smallest value of dist, whose i-th value
+    lies in row row[i]; row is ascending and every row holds at least k_eff
+    values. One partition of a (n_rows, widest row) block padded with +inf,
+    which sorts no row's values past its k_eff-th."""
+    n_vals = np.bincount(row, minlength=n_rows)
+    block = np.full((n_rows, n_vals.max()), np.inf)
+    # a mask fills in row-major order: each row's values, in order, first
+    block[np.arange(block.shape[1]) < n_vals[:, None]] = dist
+    block.partition(k_eff - 1, axis=1)
+    return block[:, k_eff - 1].copy()
+
+
 def _refine_step(
     held: list[np.ndarray],
     lo: int,
@@ -290,32 +360,28 @@ def _refine_step(
     train_y: np.ndarray,
     n_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vote the query rows lo..hi of q from their candidate cells: held's
-    arrays, in order, hold flat indices into the (len(q), len(t)) grid,
-    ascending. The step empties held. The exact sums of each row's
-    candidates go to _vote."""
+    """Vote the query rows lo..hi from their candidate cells: held's arrays,
+    in order, hold flat indices into the (query, train_y.size) grid,
+    ascending, and q and t hold the set's columns in its summation order,
+    one array of query or training rows per column. The step empties held.
+    The candidates' exact float64 sums go to _vote."""
     cells = held[0] if len(held) == 1 else np.concatenate(held)
     held.clear()
-    row, col = np.divmod(cells, t.shape[0])
+    row, col = np.divmod(cells, train_y.size)
     del cells
-    m = q.shape[1]
-    # each candidate's q - t squares, summed from the first column on in one
-    # sequential cumsum: the bits of the column path's adds. Chunked so each
-    # (candidates, m) block holds at most _TILE_ELEMENTS // 4 cells; a set
-    # without columns sums to zero
-    dist = np.zeros(row.size)
-    if m:
-        chunk = max(1, _TILE_ELEMENTS // (4 * m))
-        for c in range(0, row.size, chunk):
-            sq = q[row[c : c + chunk]]
-            sq -= t[col[c : c + chunk]]
-            sq *= sq
-            dist[c : c + chunk] = np.cumsum(sq, axis=1)[:, -1]
-    # each row's k-th smallest exact sum; every row has at least k_eff
-    # candidates (see _refine_fold)
+    # each candidate's q - t squares, added from the first column on, one
+    # column at a time: the bits of the column path's adds. A set without
+    # columns at all sums to zero; 0.0 + x == x for every square
+    dist, sq = np.zeros(row.size), np.empty(row.size)
+    for q_j, t_j in zip(q, t):
+        np.take(q_j, row, out=sq)
+        sq -= t_j.take(col)
+        sq *= sq
+        dist += sq
+    del sq
+    # every row has at least k_eff candidates (see _refine_fold)
     row -= lo
-    n_cand = np.bincount(row, minlength=hi - lo)
-    kth = dist[np.lexsort((dist, row))[np.cumsum(n_cand) - n_cand + (k_eff - 1)]]
+    kth = _kth_smallest(dist, row, hi - lo, k_eff)
     hit = np.flatnonzero(dist <= kth[row])
     # the hits replace the candidates: an all-candidate step holds what _knn_from_d2 does
     row, label = row[hit], train_y[col[hit]]
@@ -373,22 +439,28 @@ def _fold_votes(
     and divided once by the fold's test size.
 
     Filter-and-refine path, the multi-step k-NN search of Seidl and Kriegel
-    (SIGMOD 1998). Per fold and set, the set's columns are gathered, and each
-    tile of _tile_rows(train.size, 1) test rows makes one matrix product,
-    |t|^2 - 2 q.t, a filter that orders a row's cells as the squared
-    distance does, up to rounding. _band bounds that rounding, and the
-    exact sum's, for any BLAS kernel and thread count. Each row keeps the
-    cells whose filter value lies within the band of an upper bound U on
-    its k-th smallest filter value: for any such U, a superset of the cells
-    at or below its k-th exact distance. U is the k-th smallest of the
-    minima of the row's strided blocks of _BLOCK cells (fewer when the row
-    is short), so only the block minima are partitioned. A set's tiles hold
-    their candidates until one step per fold gives them exact sums, formed
-    as the column path forms them, and votes them through _vote; a step
-    runs early if the held candidates would pass _TILE_ELEMENTS. A tile with
-    a row the filter cannot rank, whose scale is not below float max / 4,
-    and a set without columns take zero filter values instead, so every
-    cell of the tile is a candidate.
+    (SIGMOD 1998). Per fold, the columns the pass reads are gathered once,
+    one feature per row. Per set, each tile of max(1, 2 * _TILE_ELEMENTS //
+    train.size) test rows makes one float32 matrix product, [-2q, 1] . [t,
+    |t|^2] of float32-rounded operands, a filter |t|^2 - 2 q.t that orders a
+    row's cells as the squared distance does, up to rounding: twice the
+    rows of a float64 tile in the same bytes. _band bounds that rounding,
+    the operands' own and the exact sum's, for any BLAS kernel and thread
+    count. Each row keeps the cells whose filter value lies within the band
+    of an upper bound U on its k-th smallest filter value: for any such U,
+    a superset of the cells at or below its k-th exact distance. U is the
+    k-th smallest of the minima of the row's strided blocks of _BLOCK cells
+    (fewer when the row is short), so only the block minima are
+    partitioned. A set's tiles hold their candidates until one step per
+    fold gives them exact float64 sums, formed as the column path forms
+    them, finds each row's k-th smallest sum with one partition of a (rows,
+    widest row) block padded with +inf, and votes through _vote; a step
+    runs early if the held candidates would take that block past
+    _TILE_ELEMENTS cells, and a tile whose rows are too wide for one step is
+    held in slices of rows. A tile with a row the filter cannot rank, whose
+    scale is not below _FILTER_MAX, a quarter of the float32 maximum, makes
+    every cell of the tile a candidate; a set without columns has zero
+    filter values, and so every cell a candidate too.
 
     Memory: on the column path, the 1 + len(extra_sets) tile buffers, a
     scratch one and the sets', share one allocation of at most
@@ -396,26 +468,20 @@ def _fold_votes(
     float64 cells, so they grow with the number of sets only once the row
     floor binds. Beside them a pass holds one fold's gather of the columns it
     reads, one k-NN chunk's working copies, and the outputs, which grow with
-    sets * n. The refine path holds one tile buffer of at most
-    _TILE_ELEMENTS cells, whatever the number of sets; beside it one set's
-    gathers, at most _TILE_ELEMENTS held candidates (or one tile's, when a
-    one-row tile has more cells), one step's exact sums of them (formed
-    in blocks of _TILE_ELEMENTS // 4 cells) and working copies the size of
-    one _knn_from_d2 call's, and the outputs. Nothing grows with n squared.
+    sets * n. The refine path holds one float32 tile of at most 2 *
+    _TILE_ELEMENTS filter values, whatever the number of sets; beside it the
+    fold's gather of the columns the pass reads, one set's float32 filter
+    operands (copied from the gather in blocks of at most _TILE_ELEMENTS //
+    4 float64 cells), the held candidates, one step's exact sums of its candidates
+    and its padded block of at most _TILE_ELEMENTS cells (or one row's, when
+    a row has more candidates), working copies the size of one _knn_from_d2
+    call's, and the outputs. Nothing grows with n squared.
     """
     pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
     n_sets = len(extra_sets)
     preds = np.empty((n_sets, ds.n), dtype=np.int64)
     pos_frac = np.empty((n_sets, ds.n), dtype=np.float64)
     fold_acc = np.empty((n_sets, folds.n_folds), dtype=np.float64)
-    if min(train.size for _, train in pairs) >= _REFINE_MIN_TRAIN:
-        set_cols = [[*map(int, base), *sorted(map(int, extra))] for extra in extra_sets]
-        for f, (test, train) in enumerate(pairs):
-            labels = ds.labels[train]
-            p, frac = _refine_fold(ds.features, test, train, set_cols, k, labels, ds.n_classes)
-            preds[:, test], pos_frac[:, test] = p, frac
-            fold_acc[:, f] = (p == ds.labels[test]).sum(axis=1) / test.size
-        return preds, pos_frac, fold_acc
     # a fold gathers only the columns the pass reads, ascending, so a column
     # is read from its rank there; ranks keep base's given order and the
     # extra sets' ascending one
@@ -423,6 +489,19 @@ def _fold_votes(
     rank = {j: i for i, j in enumerate(used)}
     used = np.array(used, dtype=np.intp)
     base = [rank[int(j)] for j in base]
+    if min(train.size for _, train in pairs) >= _REFINE_MIN_TRAIN:
+        set_rows = [[*base, *sorted(rank[int(j)] for j in extra)] for extra in extra_sets]
+        for f, (test, train) in enumerate(pairs):
+            # a row gather of the used columns, then one per side: far faster
+            # than one two-axis gather
+            x = ds.features.T[used]
+            test_x, train_x = x[:, test], x[:, train]
+            del x
+            labels = ds.labels[train]
+            p, frac = _refine_fold(test_x, train_x, set_rows, k, labels, ds.n_classes)
+            preds[:, test], pos_frac[:, test] = p, frac
+            fold_acc[:, f] = (p == ds.labels[test]).sum(axis=1) / test.size
+        return preds, pos_frac, fold_acc
     # each column of the extra sets' union, ascending, with the sets holding it
     holders: dict[int, list[int]] = {}
     for s, extra in enumerate(extra_sets):
@@ -501,10 +580,11 @@ def full_metrics(
     columns in ascending order, so the order of an extra set changes no bit;
     cv_accuracy(ds, [*base, *sorted(extra)], ...) gives the same accuracy.
     When every training fold holds at least 512 rows, the pass ranks cells
-    by a BLAS matrix product and sums only the candidates within its proven
-    error band exactly; otherwise it sums every cell column by column (see
-    _fold_votes). Votes are taken on the exact sums either way, so no metric
-    depends on the BLAS kernel or its thread count.
+    by a float32 BLAS matrix product and sums in float64 only the candidates
+    within its proven error band; otherwise it sums every cell column by
+    column (see _fold_votes). Votes are taken on the exact float64 sums
+    either way, so no metric depends on the BLAS kernel, its thread count or
+    the filter's precision.
 
     The AUC score for each sample is its class-1 vote fraction among the k
     neighbors; ties are handled by rank averaging. Precision with no

@@ -100,6 +100,15 @@ def mi_oracle(codes_a, codes_b, n_a, n_b):
     return max(mi, 0.0)
 
 
+def kth_oracle(dist, row, n_rows, k_eff):
+    """Each of n_rows rows' k_eff-th smallest value of dist, whose i-th value
+    lies in row row[i] (ascending, at least k_eff values per row), from one
+    sort of every value by (row, value): the form a padded partition must
+    match bit for bit."""
+    n_vals = np.bincount(row, minlength=n_rows)
+    return dist[np.lexsort((dist, row))[np.cumsum(n_vals) - n_vals + (k_eff - 1)]]
+
+
 @pytest.fixture
 def dataset_factory():
     return make_dataset

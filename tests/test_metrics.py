@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hefs.metrics
@@ -28,6 +29,7 @@ from hefs.metrics import (
 )
 from conftest import (
     force_tile_rows,
+    kth_oracle,
     make_dataset,
     mi_oracle,
     pass_rows,
@@ -674,13 +676,17 @@ def test_refine_pass_equals_column_pass(case, band, data):
 
 
 def test_band_is_load_bearing():
-    # one column, so the filter is one rounded product and square per cell
-    # whatever the BLAS: q - t1 is exactly 1, and t2 lies one ulp beyond
-    # q - 1, so t1 is the nearest, but the filter ranks t2 first
-    q = 703594496.0
-    t1, t2 = q + 1.0, np.nextafter(q - 1.0, -np.inf)
+    # one column and q = 1, so -2q t is exact in float32 and each filter
+    # value is one rounding of -2 fl32(t) + fl32(t^2) whatever the BLAS: t1
+    # lies 4e-7 above q and t2 5e-7 below it, so t1 is the nearest, but the
+    # float32 filter ranks t2 first
+    q, t1, t2 = 1.0, 1.0 + 4e-7, 1.0 - 5e-7
     assert (q - t1) ** 2 < (q - t2) ** 2
-    assert -2.0 * q * t1 + t1 * t1 > -2.0 * q * t2 + t2 * t2
+
+    def filter_value(t):
+        return np.float32(-2.0) * np.float32(t) + np.float32(t * t)
+
+    assert filter_value(t1) > filter_value(t2)
     ds = make_dataset([[q], [t1], [t2]], [0, 0, 1])
     folds = FoldAssignment(np.array([0, 1, 1]), 2)
     for factor, want in ((1.0, 0), (2.0**20, 0), (0.0, 1)):
@@ -689,6 +695,49 @@ def test_band_is_load_bearing():
             scale_band(mp, factor)
             preds, _, _ = _fold_votes(ds, folds, 1, [0], [()])
         assert preds[0, 0] == want, factor
+
+
+# float64 values for the filter's operands: zeros, float32 subnormals, and
+# values of any float64 bits from below the float32 subnormals up to
+# 2^top, so the operands round on the way to float32
+def operand_values(top):
+    exponents = st.integers(top - 40, top)
+    return st.one_of(
+        st.just(0.0),
+        st.builds(lambda k: k * 2.0**-149, st.integers(-(2**23) + 1, 2**23 - 1)),
+        st.builds(lambda f, e: math.ldexp(f, e), st.floats(-2.0, 2.0), exponents),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 40), top=st.integers(-170, 60), data=st.data())
+def test_band_covers_the_float32_filter_error(m, top, data):
+    # each cell's float32 filter value plus |q|^2 lies within half the band
+    # of its exact squared distance and of the column path's float64 sum
+    # (the E of _band), whatever the rows. A training row may copy a query
+    # row with a few columns moved, so the distance cancels to almost nothing
+    nq, ntr = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    values = operand_values(top)
+    q = np.array(data.draw(st.lists(values, min_size=m * nq, max_size=m * nq))).reshape(m, nq)
+    t = np.array(data.draw(st.lists(values, min_size=m * ntr, max_size=m * ntr))).reshape(m, ntr)
+    for j in range(ntr):
+        if data.draw(st.booleans()):
+            moved = data.draw(st.lists(st.integers(0, m - 1), max_size=3))
+            t[:, j] = q[:, data.draw(st.integers(0, nq - 1))]
+            t[moved, j] = data.draw(st.lists(values, min_size=len(moved), max_size=len(moved)))
+    lhs, rhs, scale = hefs.metrics._filter_operands(q, t, range(m))
+    assume((scale < hefs.metrics._FILTER_MAX).all())
+    g = lhs @ rhs
+    assert g.dtype == np.float32
+    sums = _sq_distances(q.T, t.T)
+    half_band = hefs.metrics._band(scale, m) / 2
+    for i in range(nq):
+        q_sq = sum(Fraction(v) ** 2 for v in q[:, i])
+        for j in range(ntr):
+            exact = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(q[:, i], t[:, j]))
+            filtered = Fraction(float(g[i, j])) + q_sq
+            assert abs(filtered - exact) <= Fraction(half_band[i]), (i, j)
+            assert abs(filtered - Fraction(sums[i, j])) <= Fraction(half_band[i]), (i, j)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "prototypes"])
@@ -770,35 +819,156 @@ def test_refine_pass_on_scale_past_a_quarter_of_the_float_maximum_equals_column_
         assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
 
 
+def test_refine_pass_on_scale_past_a_quarter_of_the_float32_maximum_equals_column_pass():
+    # two columns, in units of r = 2^64, whose square is just past the
+    # float32 maximum: test row q = (0.3, 0.43) r, training rows a = (-0.6,
+    # 0.6) r and b = (-0.52, 0) r. The scale |q|^2 + |a|^2 = 0.995 r^2 lies
+    # below the float32 maximum but not below the refine threshold. a is the
+    # nearest; its filter value, 0.56 r^2, is finite, yet a kernel that adds
+    # the |t|^2 column first overflows on the partial sum 0.72 r^2 + 0.36
+    # r^2, while every partial sum of b's stays finite. Ranking this row on
+    # such a kernel would keep b alone at k = 1 and vote class 0; the column
+    # path votes a's class 1
+    f32_max = float(np.finfo(np.float32).max)
+    r = 2.0**64
+    q, a, b = np.array([0.3, 0.43]) * r, np.array([-0.6, 0.6]) * r, np.array([-0.52, 0.0]) * r
+    scale = q @ q + max(a @ a, b @ b)
+    assert hefs.metrics._FILTER_MAX <= scale < f32_max
+    assert (q - a) @ (q - a) < (q - b) @ (q - b)
+    lhs, rhs, _ = hefs.metrics._filter_operands(q[:, None], np.column_stack([a, b]), range(2))
+    terms = lhs[0] * rhs.T  # each training row's products, its |t|^2 last
+    with np.errstate(over="ignore"):
+        assert terms[0, 2] + terms[0, 0] == np.inf
+    assert np.isfinite(terms[0].astype(np.float64).sum())
+    # no partial sum of b's, in any order and with rounding, reaches past this
+    assert np.abs(terms[1]).astype(np.float64).sum() < 0.9 * f32_max
+    ds = make_dataset([q, a, b], [0, 1, 0])
+    folds = FoldAssignment(np.array([0, 1, 1]), 2)
+    with pytest.MonkeyPatch.context() as mp:
+        take_path(mp, refine=False)
+        want = _fold_votes(ds, folds, 1, [0, 1], [()])
+        take_path(mp, refine=True)
+        got = _fold_votes(ds, folds, 1, [0, 1], [()])
+    assert want[0][0, 0] == 1
+    for got_arr, want_arr in zip(got, want):
+        assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_refine_pass_on_rows_past_the_float32_range_equals_column_pass(k):
+    # columns at 1e39 lie past the float32 maximum, so their float32 casts
+    # overflow, and columns at 1e20 stay in range but their squares do not:
+    # the filter cannot rank their rows, and no cast may warn. In float64
+    # every sum is finite. Rows copy a few integer prototypes, so whole
+    # groups tie, and one-ulp nudges make near-ties. A base on the unit
+    # columns alone still filters
+    rng = np.random.default_rng(7)
+    n = 90
+    protos = rng.integers(0, 4, size=(6, 4)).astype(float)
+    x = protos[rng.integers(0, 6, n)] * np.array([1e39, 1e20, 1.0, 1.0])
+    nudge = rng.random(x.shape) < 0.2
+    x[nudge] = np.nextafter(x[nudge], np.inf)
+    ds = make_dataset(x, rng.integers(0, 3, n))
+    folds = stratified_kfold(ds, 3, rng)
+    sets = [[], [1], [3], [1, 2, 3]]
+    for base in ([0], [2, 3], []):
+        with pytest.MonkeyPatch.context() as mp:
+            take_path(mp, refine=False)
+            want = _fold_votes(ds, folds, k, base, sets)
+            take_path(mp, refine=True)
+            got = _fold_votes(ds, folds, k, base, sets)
+        for got_arr, want_arr in zip(got, want):
+            assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_refine_pass_on_float32_underflow_equals_column_pass(k):
+    # a column at 1e-40, a float32 subnormal, and one at 1e-50, which
+    # float32 flushes to zero, beside unit columns of a few integer
+    # prototypes: their squares vanish from the float32 filter, and only the
+    # exact sums see them, so they alone break the unit columns' ties. Sets
+    # of the tiny columns alone have all-zero filter values
+    rng = np.random.default_rng(9)
+    n = 90
+    protos = rng.integers(0, 3, size=(5, 3)).astype(float)
+    tiny = rng.integers(0, 50, size=(n, 2)) * np.array([1e-40, 1e-50])
+    x = np.column_stack([protos[rng.integers(0, 5, n)], tiny])
+    ds = make_dataset(x, rng.integers(0, 3, n))
+    folds = stratified_kfold(ds, 3, rng)
+    sets = [[], [3], [4], [3, 4], [0, 3]]
+    for base in ([0, 1, 2], [1], []):
+        with pytest.MonkeyPatch.context() as mp:
+            take_path(mp, refine=False)
+            want = _fold_votes(ds, folds, k, base, sets)
+            take_path(mp, refine=True)
+            got = _fold_votes(ds, folds, k, base, sets)
+        for got_arr, want_arr in zip(got, want):
+            assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
+
+
 # filter values with exact ties, repeats, both zeros and magnitudes from
-# 1e-150 to 1e150 of either sign
-bound_values = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-150, -1e-150, 1e150, -1e150]),
-    st.builds(lambda m, p: m * 10.0**p, st.integers(-9, 9), st.integers(-150, 150)),
-)
+# 1e-150 to 1e150 of either sign; float32 tiles draw from 1e-45 to 1e37
+bound_values = {
+    np.float64: st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-150, -1e-150, 1e150, -1e150]),
+        st.builds(lambda m, p: m * 10.0**p, st.integers(-9, 9), st.integers(-150, 150)),
+    ),
+    np.float32: st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-45, -1e-45, 1e37, -1e37]),
+        st.builds(lambda m, p: m * 10.0**p, st.integers(-9, 9), st.integers(-45, 37)),
+    ),
+}
 
 
 @settings(max_examples=200, deadline=None)
-@given(block=st.sampled_from([1, 2, 3, 5, 8, 16, 32]), data=st.data())
-def test_refine_block_bound_is_at_or_above_the_kth_filter_value(block, data):
+@given(
+    block=st.sampled_from([1, 2, 3, 5, 8, 16, 32]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    data=st.data(),
+)
+def test_refine_block_bound_is_at_or_above_the_kth_filter_value(block, dtype, data):
     # rows of t cells from a pool of a few values; t need not be a multiple
     # of the block, and a large k_eff shrinks the block to t // k_eff cells,
     # down to one, where the bound is the k_eff-th value itself
     t = data.draw(st.integers(1, 70))
     n_rows = data.draw(st.integers(1, 4))
-    pool = data.draw(st.lists(bound_values, min_size=1, max_size=8))
+    pool = data.draw(st.lists(bound_values[dtype], min_size=1, max_size=8))
     cells = data.draw(st.lists(st.sampled_from(pool), min_size=n_rows * t, max_size=n_rows * t))
-    g = np.array(cells).reshape(n_rows, t)
+    g = np.array(cells, dtype=dtype).reshape(n_rows, t)
     before = g.tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hefs.metrics, "_BLOCK", block)
         for k_eff in range(1, t + 1):
             bound = hefs.metrics._kth_bound(g, k_eff)
             kth = np.sort(g, axis=1)[:, k_eff - 1]
+            assert bound.dtype == dtype
             assert (bound >= kth).all(), k_eff
             if min(block, t // k_eff) == 1:
                 assert (bound == kth).all(), k_eff
     assert g.tobytes() == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.integers(1, 40), data=st.data())
+def test_refine_kth_smallest_equals_the_lexsort_oracle(t, data):
+    # rows of 1 to t values from a pool of a few, so exact ties are
+    # everywhere, +inf among them; k_eff up to the fewest values of a row
+    counts = data.draw(st.lists(st.integers(1, t), min_size=1, max_size=6))
+    pool = data.draw(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 2.5, 1e300, np.inf]) | st.floats(0.0, 10.0),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    size = sum(counts)
+    dist = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    row = np.repeat(np.arange(len(counts)), counts)
+    k_eff = data.draw(st.integers(1, min(counts)))
+    before = dist.tobytes(), row.tobytes()
+    got = hefs.metrics._kth_smallest(dist, row, len(counts), k_eff)
+    assert got.tobytes() == kth_oracle(dist, row, len(counts), k_eff).tobytes()
+    assert (dist.tobytes(), row.tobytes()) == before
 
 
 @pytest.mark.parametrize("tile_rows", [None, 3])
@@ -806,8 +976,9 @@ def test_refine_pass_with_k_past_the_block_count_equals_column_pass(tile_rows):
     # rows copy 30 prototypes, so whole groups tie at the k-th distance, with
     # 3 classes. 360 training rows make 22 blocks of 16 cells, so k = 30 and
     # 200 shrink the block to t // k cells (12 and 1), and k = 400 reaches
-    # past the training fold. Tiles of 3 rows, with the held candidates'
-    # budget cut to match, make each set vote a fold in several steps
+    # past the training fold. Tiles of 3 float64 rows (6 float32 filter
+    # rows), with a step's block cut to match, make each set vote a fold in
+    # several steps
     rng = np.random.default_rng(11)
     n, d = 540, 8
     protos = rng.integers(0, 4, size=(30, d)) * 10.0 ** rng.integers(-3, 4, size=d)
@@ -834,11 +1005,11 @@ def test_refine_pass_with_k_past_the_block_count_equals_column_pass(tile_rows):
 @pytest.mark.parametrize("n_sets", [1, 4])
 def test_refine_pass_on_all_duplicate_rows_stays_inside_the_pass_budget(n_sets):
     # every row is one row, so every cell of every tile ties at the k-th
-    # distance: each tile's candidates are all its cells, a full step's
-    # worth, so the held ones are voted before the next tile's join them.
-    # The pass then holds its tile buffer and the cells' exact sums, two
-    # tiles inside the pass budget, one k-NN vote's working copies of a
-    # tile, its per-set gathers and outputs
+    # distance: each tile's candidates are all its cells, over a step's worth,
+    # so the tile is held in slices of rows and each slice is voted before
+    # the next joins it. The pass then holds its float32 tile and a step's
+    # exact sums and padded block, two float64 tiles inside the pass budget,
+    # one k-NN vote's working copies of a tile, its gathers and outputs
     rng = np.random.default_rng(0)
     n, d = 2000, 30
     ds = make_dataset(np.ones((n, d)), rng.integers(0, 2, n))
@@ -868,8 +1039,9 @@ def test_refine_pass_on_all_duplicate_rows_stays_inside_the_pass_budget(n_sets):
         test, train_rows = folds.test_indices(f), folds.train_indices(f)
         want = int(np.bincount(ds.labels[train_rows[:5]], minlength=2).argmax())
         assert (preds[:, test] == want).all()
-    # per set: its gathers, q, -2q and t, with n-long norms and masks; the
-    # outputs: predictions and fractions, each fold's and the pass's
+    # the fold's gathers of every column, a set's transient copies and its
+    # float32 filter operands, with n-long norms and masks; the outputs:
+    # predictions and fractions, each fold's and the pass's
     gathers = 3 * ds.features.nbytes + 8 * 8 * n
     outputs = 2 * 16 * n_sets * n
     assert peak <= 8 * 2 * rows * train + knn_peak + gathers + outputs
