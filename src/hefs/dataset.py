@@ -311,7 +311,10 @@ def leader_cluster(ds: Dataset, delta: float, rng: np.random.Generator) -> Clust
     cluster_of = np.empty(ds.n, dtype=np.int64)
     for i in order:
         i = int(i)
-        hits = np.flatnonzero(1.0 - leaders[: len(members)] @ units[i] < delta)
+        # np.einsum without optimize calls no BLAS, so numpy fixes its sum's
+        # order; a BLAS matrix-vector product's varies with the kernel, and
+        # a sample near delta could join another cluster
+        hits = np.flatnonzero(1.0 - np.einsum("ij,j->i", leaders[: len(members)], units[i]) < delta)
         if hits.size:
             assigned = int(hits[0])
         else:

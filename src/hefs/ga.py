@@ -216,17 +216,12 @@ class FitnessEvaluator:
 
     Accuracy is cv_accuracy over conditional + helper columns: both vote
     through metrics._fold_votes, which adds the conditional columns in their
-    given order, then the helpers in ascending order. With at least 512
-    training rows in every fold, a pass ranks cells by one float32 BLAS
-    matrix product per set and tile and sums in float64 only the candidates
-    within the product's proven error band; with fewer, it sums every cell
-    column by column. Both vote on the same exact float64 sums, so fitness
-    and every report byte are the same on either path, under any BLAS and
-    whatever the filter's precision. The complementarity
-    objective is 1 - mean/max over the mutual information of every (helper,
-    conditional) column pair, read from a residual x conditional table built
-    once; when every such MI is zero the helpers share nothing with the
-    conditional set and the score is 1.
+    given order, then the helpers in ascending order; whichever k-NN path
+    _fold_votes takes, fitness and every report byte are the same. The
+    complementarity objective is 1 - mean/max over the mutual information of
+    every (helper, conditional) column pair, read from a residual x
+    conditional table built once; when every such MI is zero the helpers
+    share nothing with the conditional set and the score is 1.
     """
 
     def __init__(

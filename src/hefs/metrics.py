@@ -40,7 +40,7 @@ class MetricsReport:
 # and a small tile votes many sets per call instead of paying dispatch per set.
 # The refine path's float32 filter tiles take twice the rows in the same bytes
 _TILE_ELEMENTS = 32 * 1600
-# distance cells a column pass's 1 + sets tile buffers share (2 MB, one core's L2):
+# distance cells a column fold's 1 + sets tile buffers share (2 MB, one core's L2):
 # tiles get thinner as a pass votes more sets, so its memory stops growing
 # with the population size
 _PASS_ELEMENTS = 5 * _TILE_ELEMENTS
@@ -84,30 +84,17 @@ def _sq_distances(queries: np.ndarray, train: np.ndarray) -> np.ndarray:
     order reproduces these values bit for bit.
     """
     out = np.zeros((queries.shape[0], train.shape[0]), dtype=np.float64)
-    adds = [(j, [out]) for j in range(queries.shape[1])]
-    _add_sq_distances(queries.T, train.T, adds, np.empty_like(out))
+    scratch = np.empty_like(out)
+    for j in range(queries.shape[1]):
+        _form_sq_distances(queries.T, train.T, j, scratch)
+        out += scratch
     return out
-
-
-def _add_sq_distances(
-    queries: np.ndarray,
-    train: np.ndarray,
-    adds: Sequence[tuple[int, Sequence[np.ndarray]]],
-    scratch: np.ndarray,
-) -> None:
-    """For each (j, outs) of adds, in order, form column j's squared
-    differences once in scratch and add them to every array of outs.
-    queries (d, n_queries) and train (d, n_train) hold one feature per row;
-    scratch is an outs-shaped buffer the caller may reuse."""
-    for j, outs in adds:
-        _form_sq_distances(queries, train, j, scratch)
-        for out in outs:
-            out += scratch
 
 
 def _form_sq_distances(queries: np.ndarray, train: np.ndarray, j: int, out: np.ndarray) -> None:
     """Write column j's squared query-train differences into out, whose
-    last two axes are (n_queries, n_train)."""
+    last two axes are (n_queries, n_train); queries (d, n_queries) and train
+    (d, n_train) hold one feature per row."""
     # a broadcast copy and an in-place subtract cost less than one
     # subtract that broadcasts both operands, and give the same q - t
     np.copyto(out, queries[j, :, None])
@@ -173,6 +160,85 @@ def _vote(
     counts = counts.reshape(nq, n_classes)
     preds = np.argmax(counts, axis=1)
     pos_frac = counts[:, 1] / k_eff if n_classes >= 2 else np.zeros(nq)
+    return preds, pos_frac
+
+
+def _column_fold(
+    test_x: np.ndarray,
+    train_x: np.ndarray,
+    base: Sequence[int],
+    extras: Sequence[Sequence[int]],
+    k: int,
+    train_y: np.ndarray,
+    n_classes: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-NN votes of one fold's test rows for base plus each extra set of
+    feature columns, summing every cell column by column: predictions and
+    class-1 vote fractions, each (len(extras), test rows). test_x and
+    train_x hold one feature per row, and each extra set's rows are
+    ascending; a set sums base's rows of them in the given order, then its
+    extra rows.
+
+    The test rows go through in tiles of _tile_rows(train rows,
+    len(extras)). Each extra set has a tile buffer, and the buffers lie back
+    to back, (len(extras), rows, train). Per tile, base's squared distances
+    are summed in the given order into the first set's buffer, its first
+    column formed there in place (an empty base leaves zeros), and this
+    prefix is copied into every other set's. Then each column of the extra
+    sets' union, in ascending order, forms its squared differences once and
+    adds them to every set that holds it; an empty extra set keeps the
+    prefix. So every voted matrix is a row block of _sq_distances' sum over
+    base + extra. The sets are voted in chunks of max(1, _TILE_ELEMENTS //
+    tile.size), one _knn_from_d2 call per chunk on its (sets * rows, train)
+    rows; a vote reads its own row only, so neither the tile height nor
+    chunking changes a vote.
+
+    Memory: the 1 + len(extras) tile buffers, a scratch one and the sets',
+    share one allocation per fold of at most max(_PASS_ELEMENTS, (1 +
+    len(extras)) * _MIN_TILE_ROWS * train) float64 cells, so they grow with
+    the number of sets only once the row floor binds. Beside them the kernel
+    holds one k-NN chunk's working copies and its outputs.
+    """
+    (_, nq), ntr = test_x.shape, train_x.shape[1]
+    n_sets = len(extras)
+    step = _tile_rows(ntr, n_sets)
+    # each column of the extra sets' union, ascending, with the sets holding it
+    holders: dict[int, list[int]] = {}
+    for s, extra in enumerate(extras):
+        for j in extra:
+            holders.setdefault(j, []).append(s)
+    columns = sorted(holders.items())
+    preds = np.empty((n_sets, nq), dtype=np.int64)
+    pos_frac = np.empty((n_sets, nq), dtype=np.float64)
+    # one allocation, so a short last tile's buffers also lie back to back
+    block = np.empty((1 + n_sets) * min(step, nq) * ntr)
+    for lo in range(0, nq, step):
+        queries = test_x[:, lo : lo + step]
+        rows = queries.shape[1]
+        tiles = block[: (1 + n_sets) * rows * ntr].reshape(1 + n_sets, rows, ntr)
+        scratch, d2s = tiles[0], tiles[1:]
+        views = list(d2s)  # a list's item costs less than an array's
+        # the first set's buffer, none when there are no sets, takes the prefix;
+        # 0.0 + x == x for every square, so forming base's first column in
+        # place gives the bits of adding it to zeros
+        first = d2s[:1]
+        if len(base):
+            _form_sq_distances(queries, train_x, base[0], first)
+        else:
+            first.fill(0.0)
+        for j in base[1:]:
+            _form_sq_distances(queries, train_x, j, scratch)
+            first += scratch
+        d2s[1:] = first
+        for j, held in columns:
+            _form_sq_distances(queries, train_x, j, scratch)
+            for s in held:
+                views[s] += scratch
+        chunk = max(1, _TILE_ELEMENTS // scratch.size)
+        for a in range(0, n_sets, chunk):
+            p, frac = _knn_from_d2(d2s[a : a + chunk].reshape(-1, ntr), train_y, k, n_classes)
+            preds[a : a + chunk, lo : lo + rows] = p.reshape(-1, rows)
+            pos_frac[a : a + chunk, lo : lo + rows] = frac.reshape(-1, rows)
     return preds, pos_frac
 
 
@@ -251,37 +317,56 @@ def _round_up32(x: np.ndarray) -> np.ndarray:
 def _refine_fold(
     test_x: np.ndarray,
     train_x: np.ndarray,
-    set_rows: Sequence[Sequence[int]],
+    base: Sequence[int],
+    extras: Sequence[Sequence[int]],
     k: int,
     train_y: np.ndarray,
     n_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """k-NN votes of one fold's test rows for each set of feature columns:
-    predictions and class-1 vote fractions, each (len(set_rows),
-    test rows). test_x and train_x hold one feature per row, and a set sums
-    its rows of them in the given order. See _fold_votes for the method.
+    """k-NN votes of one fold's test rows for base plus each extra set of
+    feature columns, by the multi-step k-NN search of Seidl and Kriegel
+    (SIGMOD 1998): predictions and class-1 vote fractions, each
+    (len(extras), test rows). The arguments are _column_fold's, and a set
+    sums the rows [*base, *extra] of test_x and train_x in that order.
 
-    The filter is float32: each tile of test rows makes one float32 matrix
-    product of the set's _filter_operands, twice the rows of a float64 tile
-    in the same bytes. A row's candidates are the cells whose filter value
-    is at most U plus its band, where U, from _kth_bound, is at or above the
-    row's k_eff-th smallest filter value. Any such U serves: a cell whose
-    exact sum is at most the row's k_eff-th smallest one has a filter value
-    at most that k_eff-th filter value plus the band (see _band), so at most
-    U plus the band; and the k_eff cells of the smallest filter values lie
-    at or below U, so every row has at least k_eff candidates. Each set
-    holds its tiles' candidates, as flat cell indices, and votes them in one
-    float64 _refine_step per fold, or in more if the step's block of rows by
-    its widest row would pass _TILE_ELEMENTS cells: the held ones are voted
+    The filter is float32: per set, each tile of max(1, 2 * _TILE_ELEMENTS
+    // train rows) test rows makes one float32 matrix product of the set's
+    _filter_operands, [-2q, 1] . [t, |t|^2] of float32-rounded operands, a
+    filter |t|^2 - 2 q.t that orders a row's cells as the squared distance
+    does, up to rounding: twice the rows of a float64 tile in the same
+    bytes. _band bounds that rounding, the operands' own and the exact
+    sum's, for any BLAS kernel and thread count. A row's candidates are the
+    cells whose filter value is at most U plus its band, where U, from
+    _kth_bound, is at or above the row's k_eff-th smallest filter value. Any
+    such U serves: a cell whose exact sum is at most the row's k_eff-th
+    smallest one has a filter value at most that k_eff-th filter value plus
+    the band (see _band), so at most U plus the band; and the k_eff cells of
+    the smallest filter values lie at or below U, so every row has at least
+    k_eff candidates. A tile with a row the filter cannot rank, whose scale
+    is not below _FILTER_MAX, a quarter of the float32 maximum, makes every
+    cell of the tile a candidate; a set without columns has zero filter
+    values, and so every cell a candidate too. Each set holds its tiles'
+    candidates, as flat cell indices, and votes them in one float64
+    _refine_step per fold, or in more if the step's block of rows by its
+    widest row would pass _TILE_ELEMENTS cells: the held ones are voted
     before a tile's candidates take the block past it, and a tile too wide
-    for one step is held in slices of rows."""
+    for one step is held in slices of rows.
+
+    Memory: one float32 tile of at most 2 * _TILE_ELEMENTS filter values,
+    allocated once per fold whatever the number of sets; beside it one
+    set's float32 filter operands (copied in blocks of at most
+    _TILE_ELEMENTS // 4 float64 cells), the held candidates, one step's
+    exact sums of its candidates and its padded block of at most
+    _TILE_ELEMENTS cells (or one row's, when a row has more candidates),
+    working copies the size of one _knn_from_d2 call's, and the outputs."""
     (_, nq), ntr = test_x.shape, train_x.shape[1]
     k_eff = min(k, ntr)
     step = max(1, 2 * _TILE_ELEMENTS // ntr)
     tile = np.empty((min(step, nq), ntr), dtype=np.float32)  # filter values, one allocation
-    preds = np.empty((len(set_rows), nq), dtype=np.int64)
-    pos_frac = np.empty((len(set_rows), nq), dtype=np.float64)
-    for s, rows in enumerate(set_rows):
+    preds = np.empty((len(extras), nq), dtype=np.int64)
+    pos_frac = np.empty((len(extras), nq), dtype=np.float64)
+    for s, extra in enumerate(extras):
+        rows = [*base, *extra]
         lhs, rhs, scale = _filter_operands(test_x, train_x, rows)
         # below a quarter of the float32 maximum no operand, partial sum or
         # threshold of the filter leaves float32 range (a NaN scale fails the
@@ -417,65 +502,19 @@ def _fold_votes(
     forms over base + sorted(extra): each column's rounded difference,
     squared, added from zero in that order, so the order of an extra set
     changes no bit. Neighbors rank by (distance, training row), through
-    _vote. Two paths reach these votes, and one rule picks one per pass: if
-    every training fold holds at least _REFINE_MIN_TRAIN rows the pass
-    filters and refines, otherwise it takes the column path. Both give the
-    same votes, bit for bit, so the choice changes no report byte.
+    _vote. Each fold gathers from ds.features only the columns the pass
+    reads, base and the extra sets' union, one feature per row, and votes
+    its test rows against its training rows through one kernel. Two
+    kernels reach these votes, _column_fold and _refine_fold, with the same
+    arguments and results, and one rule picks one per pass: if every
+    training fold holds at least _REFINE_MIN_TRAIN rows the pass filters
+    and refines, otherwise it takes the column path. Both give the same
+    votes, bit for bit, so the choice changes no report byte.
 
-    Column path. Each fold gathers from ds.features only the columns the pass
-    reads, base and the extra sets' union, one feature per row, and votes its
-    test rows in tiles of _tile_rows(train.size, len(extra_sets)). Each extra
-    set has a tile buffer, and the buffers lie back to back, (len(extra_sets),
-    rows, train). Per tile, base's squared distances are summed in the given
-    order into the first set's buffer, its first column formed there in place
-    (an empty base leaves zeros), and this prefix is copied into every other
-    set's. Then each column of the extra sets' union, in ascending order,
-    forms its squared differences once and adds them to every set that holds
-    it; an empty extra set keeps the prefix. So every voted matrix is a row
-    block of _sq_distances' sum. The sets are voted in chunks of max(1,
-    _TILE_ELEMENTS // tile.size), one _knn_from_d2 call per chunk on its (sets
-    * rows, train) rows; a vote reads its own row only, so neither the tile
-    height nor chunking changes a vote. Correct votes are counted per chunk
-    and divided once by the fold's test size.
-
-    Filter-and-refine path, the multi-step k-NN search of Seidl and Kriegel
-    (SIGMOD 1998). Per fold, the columns the pass reads are gathered once,
-    one feature per row. Per set, each tile of max(1, 2 * _TILE_ELEMENTS //
-    train.size) test rows makes one float32 matrix product, [-2q, 1] . [t,
-    |t|^2] of float32-rounded operands, a filter |t|^2 - 2 q.t that orders a
-    row's cells as the squared distance does, up to rounding: twice the
-    rows of a float64 tile in the same bytes. _band bounds that rounding,
-    the operands' own and the exact sum's, for any BLAS kernel and thread
-    count. Each row keeps the cells whose filter value lies within the band
-    of an upper bound U on its k-th smallest filter value: for any such U,
-    a superset of the cells at or below its k-th exact distance. U is the
-    k-th smallest of the minima of the row's strided blocks of _BLOCK cells
-    (fewer when the row is short), so only the block minima are
-    partitioned. A set's tiles hold their candidates until one step per
-    fold gives them exact float64 sums, formed as the column path forms
-    them, finds each row's k-th smallest sum with one partition of a (rows,
-    widest row) block padded with +inf, and votes through _vote; a step
-    runs early if the held candidates would take that block past
-    _TILE_ELEMENTS cells, and a tile whose rows are too wide for one step is
-    held in slices of rows. A tile with a row the filter cannot rank, whose
-    scale is not below _FILTER_MAX, a quarter of the float32 maximum, makes
-    every cell of the tile a candidate; a set without columns has zero
-    filter values, and so every cell a candidate too.
-
-    Memory: on the column path, the 1 + len(extra_sets) tile buffers, a
-    scratch one and the sets', share one allocation of at most
-    max(_PASS_ELEMENTS, (1 + len(extra_sets)) * _MIN_TILE_ROWS * train)
-    float64 cells, so they grow with the number of sets only once the row
-    floor binds. Beside them a pass holds one fold's gather of the columns it
-    reads, one k-NN chunk's working copies, and the outputs, which grow with
-    sets * n. The refine path holds one float32 tile of at most 2 *
-    _TILE_ELEMENTS filter values, whatever the number of sets; beside it the
-    fold's gather of the columns the pass reads, one set's float32 filter
-    operands (copied from the gather in blocks of at most _TILE_ELEMENTS //
-    4 float64 cells), the held candidates, one step's exact sums of its candidates
-    and its padded block of at most _TILE_ELEMENTS cells (or one row's, when
-    a row has more candidates), working copies the size of one _knn_from_d2
-    call's, and the outputs. Nothing grows with n squared.
+    Memory: beside one fold's gather of its test and training columns, a
+    pass holds what its kernel allocates for one fold, its own tile block
+    among it (see each kernel), and the outputs, which grow with sets * n.
+    Nothing grows with n squared.
     """
     pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
     n_sets = len(extra_sets)
@@ -489,73 +528,20 @@ def _fold_votes(
     rank = {j: i for i, j in enumerate(used)}
     used = np.array(used, dtype=np.intp)
     base = [rank[int(j)] for j in base]
-    if min(train.size for _, train in pairs) >= _REFINE_MIN_TRAIN:
-        set_rows = [[*base, *sorted(rank[int(j)] for j in extra)] for extra in extra_sets]
-        for f, (test, train) in enumerate(pairs):
-            # a row gather of the used columns, then one per side: far faster
-            # than one two-axis gather
-            x = ds.features.T[used]
-            test_x, train_x = x[:, test], x[:, train]
-            del x
-            labels = ds.labels[train]
-            p, frac = _refine_fold(test_x, train_x, set_rows, k, labels, ds.n_classes)
-            preds[:, test], pos_frac[:, test] = p, frac
-            fold_acc[:, f] = (p == ds.labels[test]).sum(axis=1) / test.size
-        return preds, pos_frac, fold_acc
-    # each column of the extra sets' union, ascending, with the sets holding it
-    holders: dict[int, list[int]] = {}
-    for s, extra in enumerate(extra_sets):
-        for j in extra:
-            holders.setdefault(rank[int(j)], []).append(s)
-    columns = sorted(holders.items())
-    steps = [_tile_rows(train.size, n_sets) for _, train in pairs]
-    # one allocation for the whole pass: buffers of slightly different
-    # shapes, allocated and freed tile by tile, fragment the heap and raise
-    # peak memory from one run to the next
-    size = max(min(step, test.size) * train.size for step, (test, train) in zip(steps, pairs))
-    flat = np.empty((1 + n_sets) * size)
-    # each tile shape's views, add lists and vote chunks, built on first use;
-    # keyed by shape, since tiles of equal cells may differ in shape
-    plans: dict[tuple[int, int], tuple] = {}
-    for f, ((test, train), step) in enumerate(zip(pairs, steps)):
-        test_x, train_x = ds.features.T[used[:, None], test], ds.features.T[used[:, None], train]
-        train_y = ds.labels[train]
-        hits = np.zeros(n_sets, dtype=np.int64)
-        for lo in range(0, test.size, step):
-            rows = test[lo : lo + step]
-            shape = (rows.size, train.size)
-            if shape not in plans:
-                cells = rows.size * train.size
-                tiles = flat[: (1 + n_sets) * cells].reshape(1 + n_sets, *shape)
-                scratch, d2s = tiles[0], tiles[1:]
-                # the first set's buffer, none when there are no sets, takes the prefix
-                first = d2s[:1]
-                views = list(d2s)  # one view per set, not one per (column, holder)
-                base_adds = [(j, first) for j in base[1:]]
-                adds = [(j, [views[s] for s in held]) for j, held in columns]
-                chunk = max(1, _TILE_ELEMENTS // cells)
-                sets = [slice(lo_set, lo_set + chunk) for lo_set in range(0, n_sets, chunk)]
-                chunks = [(sl, d2s[sl].reshape(-1, train.size)) for sl in sets]
-                plans[shape] = (scratch, d2s, first, base_adds, adds, chunks)
-            scratch, d2s, first, base_adds, adds, chunks = plans[shape]
-            queries = test_x[:, lo : lo + step]
-            # 0.0 + x == x for every square, so forming base's first column
-            # in place gives the bits of adding it to zeros
-            if len(base):
-                _form_sq_distances(queries, train_x, base[0], first)
-            else:
-                first.fill(0.0)
-            _add_sq_distances(queries, train_x, base_adds, scratch)
-            d2s[1:] = first
-            _add_sq_distances(queries, train_x, adds, scratch)
-            test_y = ds.labels[rows]
-            for sets, block in chunks:
-                p, frac = _knn_from_d2(block, train_y, k, ds.n_classes)
-                p = p.reshape(-1, rows.size)
-                preds[sets, rows], pos_frac[sets, rows] = p, frac.reshape(p.shape)
-                hits[sets] += (p == test_y).sum(axis=1)
-        # rounds to np.mean's quotient exactly
-        fold_acc[:, f] = hits / test.size
+    extras = [sorted(rank[int(j)] for j in extra) for extra in extra_sets]
+    refine = min(train.size for _, train in pairs) >= _REFINE_MIN_TRAIN
+    kernel = _refine_fold if refine else _column_fold
+    for f, (test, train) in enumerate(pairs):
+        # a row gather, then one column gather per side: far faster than
+        # one two-axis gather. The row gather is dropped before the kernel
+        # runs: held through the pass, it raised the peak by its own bytes,
+        # and spambase-shaped refine passes ran slower
+        x = ds.features.T[used]
+        test_x, train_x = x[:, test], x[:, train]
+        del x
+        p, frac = kernel(test_x, train_x, base, extras, k, ds.labels[train], ds.n_classes)
+        preds[:, test], pos_frac[:, test] = p, frac
+        fold_acc[:, f] = (p == ds.labels[test]).sum(axis=1) / test.size
     return preds, pos_frac, fold_acc
 
 
@@ -579,12 +565,8 @@ def full_metrics(
     Distances sum base's columns in the given order, then each extra set's
     columns in ascending order, so the order of an extra set changes no bit;
     cv_accuracy(ds, [*base, *sorted(extra)], ...) gives the same accuracy.
-    When every training fold holds at least 512 rows, the pass ranks cells
-    by a float32 BLAS matrix product and sums in float64 only the candidates
-    within its proven error band; otherwise it sums every cell column by
-    column (see _fold_votes). Votes are taken on the exact float64 sums
-    either way, so no metric depends on the BLAS kernel, its thread count or
-    the filter's precision.
+    The votes come from _fold_votes, whichever k-NN path it takes, and so no
+    metric depends on the path or the BLAS kernel.
 
     The AUC score for each sample is its class-1 vote fraction among the k
     neighbors; ties are handled by rank averaging. Precision with no

@@ -444,6 +444,27 @@ def test_leader_cluster_rejects_bad_delta():
             leader_cluster(ds, delta, np.random.default_rng(0))
 
 
+# two rows each, whose cosine distance numpy sums to exactly delta. On an
+# AVX-512 x86-64 core, OpenBLAS's matrix-vector kernels put the first pair
+# at 0.2993154032593629 (the default kernel) and the second at
+# 0.022643601003003 (Prescott) and 0.02264360100300289 (Haswell): below
+# delta, so a clustering by a BLAS product would join the rows
+@pytest.mark.parametrize(
+    "rows, delta",
+    [
+        ([[8, 3, 5, 8, 2, 3], [2, 5, 9, 2, 4, 4]], 0.299315403259363),
+        ([[4, 5, 3, 2, 4, 6], [5, 7, 4, 6, 7, 9]], 0.02264360100300311),
+    ],
+)
+def test_leader_cluster_near_delta_does_not_depend_on_the_blas(rows, delta):
+    ds = make_dataset(np.array(rows) / 3.0, [0, 1])
+    above = np.nextafter(delta, 1.0)
+    for seed in range(4):
+        # joining needs a distance strictly below delta
+        assert leader_cluster(ds, delta, np.random.default_rng(seed)).n_clusters == 2
+        assert leader_cluster(ds, above, np.random.default_rng(seed)).n_clusters == 1
+
+
 def test_leader_cluster_deterministic_under_seed():
     ds = make_dataset(np.random.default_rng(3).normal(size=(40, 4)), [0, 1] * 20)
     a = leader_cluster(ds, 0.3, np.random.default_rng(11))

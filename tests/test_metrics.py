@@ -675,6 +675,56 @@ def test_refine_pass_equals_column_pass(case, band, data):
     assert len(refined) == folds.n_folds * len(sets)
 
 
+@st.composite
+def wide_datasets(draw):
+    """(dataset, folds) of 20-60 columns whose rows copy a few prototypes of
+    Gaussian values, each column scaled by a power of ten from 1e-3 to 1e3,
+    some cells nudged by one ulp: duplicate rows, exact ties and near-ties.
+    2-4 classes, 2-4 folds of any class mix."""
+    n_classes = draw(st.integers(2, 4))
+    n_folds = draw(st.integers(2, 4))
+    n = draw(st.integers(max(n_classes, n_folds), 40))
+    d = draw(st.integers(20, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    protos = rng.normal(size=(draw(st.integers(1, n)), d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    x = protos[rng.integers(0, len(protos), n)]
+    nudge = rng.random(x.shape) < 0.1
+    x[nudge] = np.nextafter(x[nudge], np.inf)
+    labels = rng.integers(0, n_classes, n)
+    labels[:n_classes] = range(n_classes)  # every class occurs
+    fold_of = rng.permutation(np.arange(n) % n_folds)
+    return make_dataset(x, labels), FoldAssignment(fold_of, n_folds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.one_of(tie_heavy_datasets(), wide_datasets()),
+    rows=st.sampled_from([None, 1, 2, 3]),
+    data=st.data(),
+)
+def test_refine_fold_equals_column_fold(case, rows, data):
+    # both kernels called on one fold's gather: the same predictions and
+    # vote fractions, bit for bit. base may be empty and so may an extra
+    # set; k reaches past the training rows, and tiles of 1..rows test rows
+    # (or of the default size) cut the fold
+    ds, folds = case
+    f = data.draw(st.integers(0, folds.n_folds - 1))
+    test, train = folds.test_indices(f), folds.train_indices(f)
+    k = data.draw(st.integers(1, train.size + 2))
+    base = data.draw(st.lists(st.integers(0, ds.d - 1), max_size=min(ds.d - 1, 8), unique=True))
+    rest = st.sampled_from([j for j in range(ds.d) if j not in base])
+    extras = data.draw(st.lists(st.lists(rest, max_size=12, unique=True).map(sorted), min_size=1, max_size=4))
+    x = ds.features.T
+    args = (x[:, test], x[:, train], base, extras, k, ds.labels[train], ds.n_classes)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows:
+            mp.setattr(hefs.metrics, "_TILE_ELEMENTS", rows * train.size)
+        want = hefs.metrics._column_fold(*args)
+        got = hefs.metrics._refine_fold(*args)
+    for got_arr, want_arr in zip(got, want):
+        assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
+
+
 def test_band_is_load_bearing():
     # one column and q = 1, so -2q t is exact in float32 and each filter
     # value is one rounding of -2 fl32(t) + fl32(t^2) whatever the BLAS: t1
