@@ -214,14 +214,13 @@ def selective_activation_init(r: int, cfg: GAConfig, rng: np.random.Generator) -
 class FitnessEvaluator:
     """Scores genomes against one dataset; memoizes by bitmask.
 
-    Accuracy is cv_accuracy over conditional + helper columns: both vote
-    through metrics._fold_votes, which adds the conditional columns in their
-    given order, then the helpers in ascending order; whichever k-NN path
-    _fold_votes takes, fitness and every report byte are the same. The
-    complementarity objective is 1 - mean/max over the mutual information of
-    every (helper, conditional) column pair, read from a residual x
-    conditional table built once; when every such MI is zero the helpers
-    share nothing with the conditional set and the score is 1.
+    Accuracy is cv_accuracy over conditional + helper columns, bit for bit,
+    whichever k-NN path votes: both vote through metrics._fold_votes, which
+    owns the summation order and the choice of path. The complementarity
+    objective is 1 - mean/max over the mutual information of every
+    (helper, conditional) column pair, read from a residual x conditional
+    table built once; when every such MI is zero the helpers share nothing
+    with the conditional set and the score is 1.
     """
 
     def __init__(

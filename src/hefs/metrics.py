@@ -47,12 +47,12 @@ _PASS_ELEMENTS = 5 * _TILE_ELEMENTS
 # the thinnest tile the pass budget may ask for: thinner tiles pay more
 # Python and ufunc dispatch per distance than the memory they save
 _MIN_TILE_ROWS = 16
-# a pass whose every training fold holds at least this many rows votes
-# through the filter-and-refine path. Per pass, on one core: at 512-1600
-# training rows, the refine path beats the column adds 1.2x (30 sets of 31
-# columns at 512 rows) to 9.3x (one set of 31 columns at 1600 rows)
-# (BENCH_22.json); at 48-320 rows its per-set, per-tile dispatch cost up to
-# 11x more than the adds it saves (BENCH_18.json, float64 filter)
+# a fold whose training side holds at least this many rows votes through
+# the filter-and-refine path (see _fold_votes). Per pass, on one core: at
+# 512-1600 training rows, the refine path beats the column adds 1.2x (30
+# sets of 31 columns at 512 rows) to 9.3x (one set of 31 columns at 1600
+# rows) (BENCH_22.json); at 48-320 rows its per-set, per-tile dispatch cost
+# up to 11x more than the adds it saves (BENCH_18.json, float64 filter)
 _REFINE_MIN_TRAIN = 512
 # cells per block of the refine filter's k-th value bound (see _kth_bound):
 # one minimum per block is partitioned instead of every cell. Per pass on
@@ -504,19 +504,17 @@ def _fold_votes(
     changes no bit. Neighbors rank by (distance, training row), through
     _vote. Each fold gathers from ds.features only the columns the pass
     reads, base and the extra sets' union, one feature per row, and votes
-    its test rows against its training rows through one kernel. Two
-    kernels reach these votes, _column_fold and _refine_fold, with the same
-    arguments and results, and one rule picks one per pass: if every
-    training fold holds at least _REFINE_MIN_TRAIN rows the pass filters
-    and refines, otherwise it takes the column path. Both give the same
-    votes, bit for bit, so the choice changes no report byte.
+    its test rows against its training rows through one of two kernels
+    with the same arguments and results. The fold's own training rows pick
+    it: at least _REFINE_MIN_TRAIN of them take _refine_fold, fewer take
+    _column_fold, so one pass may run both. Both give the same votes, bit
+    for bit, so the choice changes no report byte.
 
     Memory: beside one fold's gather of its test and training columns, a
-    pass holds what its kernel allocates for one fold, its own tile block
-    among it (see each kernel), and the outputs, which grow with sets * n.
+    pass holds what that fold's kernel allocates, its tile buffers among it
+    (see each kernel), and the outputs, which grow with sets * n.
     Nothing grows with n squared.
     """
-    pairs = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.n_folds)]
     n_sets = len(extra_sets)
     preds = np.empty((n_sets, ds.n), dtype=np.int64)
     pos_frac = np.empty((n_sets, ds.n), dtype=np.float64)
@@ -529,9 +527,8 @@ def _fold_votes(
     used = np.array(used, dtype=np.intp)
     base = [rank[int(j)] for j in base]
     extras = [sorted(rank[int(j)] for j in extra) for extra in extra_sets]
-    refine = min(train.size for _, train in pairs) >= _REFINE_MIN_TRAIN
-    kernel = _refine_fold if refine else _column_fold
-    for f, (test, train) in enumerate(pairs):
+    for f in range(folds.n_folds):
+        test, train = folds.test_indices(f), folds.train_indices(f)
         # a row gather, then one column gather per side: far faster than
         # one two-axis gather. The row gather is dropped before the kernel
         # runs: held through the pass, it raised the peak by its own bytes,
@@ -539,6 +536,7 @@ def _fold_votes(
         x = ds.features.T[used]
         test_x, train_x = x[:, test], x[:, train]
         del x
+        kernel = _refine_fold if train.size >= _REFINE_MIN_TRAIN else _column_fold
         p, frac = kernel(test_x, train_x, base, extras, k, ds.labels[train], ds.n_classes)
         preds[:, test], pos_frac[:, test] = p, frac
         fold_acc[:, f] = (p == ds.labels[test]).sum(axis=1) / test.size
@@ -562,11 +560,10 @@ def full_metrics(
     """Metrics of base + each extra set, in one pass: accuracy plus, for
     binary problems, pooled precision, recall and AUC.
 
-    Distances sum base's columns in the given order, then each extra set's
-    columns in ascending order, so the order of an extra set changes no bit;
-    cv_accuracy(ds, [*base, *sorted(extra)], ...) gives the same accuracy.
-    The votes come from _fold_votes, whichever k-NN path it takes, and so no
-    metric depends on the path or the BLAS kernel.
+    The order of an extra set changes no bit, and cv_accuracy(ds, [*base,
+    *sorted(extra)], ...) gives the same accuracy. No metric depends on
+    the k-NN path or the BLAS kernel; _fold_votes gives the votes and owns
+    their summation order and the choice of path.
 
     The AUC score for each sample is its class-1 vote fraction among the k
     neighbors; ties are handled by rank averaging. Precision with no

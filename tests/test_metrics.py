@@ -616,6 +616,25 @@ def record_refined(mp):
     return refined
 
 
+def record_kernels(mp):
+    """Patch hefs.metrics' two fold kernels to log the name of each one
+    called, in order; returns the list of names."""
+    called = []
+
+    def recording(name):
+        kernel = getattr(hefs.metrics, name)
+
+        def recording_kernel(*args):
+            called.append(name)
+            return kernel(*args)
+
+        return recording_kernel
+
+    for name in ("_column_fold", "_refine_fold"):
+        mp.setattr(hefs.metrics, name, recording(name))
+    return called
+
+
 @st.composite
 def near_tie_datasets(draw):
     """(dataset, folds) whose rows copy a few prototypes of integer levels,
@@ -677,14 +696,14 @@ def test_refine_pass_equals_column_pass(case, band, data):
 
 @st.composite
 def wide_datasets(draw):
-    """(dataset, folds) of 20-60 columns whose rows copy a few prototypes of
-    Gaussian values, each column scaled by a power of ten from 1e-3 to 1e3,
-    some cells nudged by one ulp: duplicate rows, exact ties and near-ties.
-    2-4 classes, 2-4 folds of any class mix."""
+    """(dataset, folds) of 20-60 or 100-700 columns whose rows copy a few
+    prototypes of Gaussian values, each column scaled by a power of ten from
+    1e-3 to 1e3, some cells nudged by one ulp: duplicate rows, exact ties
+    and near-ties. 2-4 classes, 2-4 folds of any class mix."""
     n_classes = draw(st.integers(2, 4))
     n_folds = draw(st.integers(2, 4))
     n = draw(st.integers(max(n_classes, n_folds), 40))
-    d = draw(st.integers(20, 60))
+    d = draw(st.integers(20, 60) | st.integers(100, 700))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     protos = rng.normal(size=(draw(st.integers(1, n)), d)) * 10.0 ** rng.integers(-3, 4, size=d)
     x = protos[rng.integers(0, len(protos), n)]
@@ -705,15 +724,30 @@ def wide_datasets(draw):
 def test_refine_fold_equals_column_fold(case, rows, data):
     # both kernels called on one fold's gather: the same predictions and
     # vote fractions, bit for bit. base may be empty and so may an extra
-    # set; k reaches past the training rows, and tiles of 1..rows test rows
-    # (or of the default size) cut the fold
+    # set; on data of 100 columns or more the first set holds 100-600 of
+    # them, the helper-set width of the paper's data, and any set may. k
+    # reaches past the training rows, and tiles of 1..rows test rows (or of
+    # the default size) cut the fold
     ds, folds = case
     f = data.draw(st.integers(0, folds.n_folds - 1))
     test, train = folds.test_indices(f), folds.train_indices(f)
     k = data.draw(st.integers(1, train.size + 2))
     base = data.draw(st.lists(st.integers(0, ds.d - 1), max_size=min(ds.d - 1, 8), unique=True))
-    rest = st.sampled_from([j for j in range(ds.d) if j not in base])
-    extras = data.draw(st.lists(st.lists(rest, max_size=12, unique=True).map(sorted), min_size=1, max_size=4))
+    rest = [j for j in range(ds.d) if j not in base]
+    extra = st.lists(st.sampled_from(rest), max_size=12, unique=True).map(sorted)
+    extras = []
+    if len(rest) >= 100:
+        widths = st.integers(100, 600) | st.sampled_from([320, 600])
+        seeds = st.integers(0, 2**32 - 1)
+
+        def pick(case):
+            width, seed = case
+            cols = np.random.default_rng(seed).choice(rest, min(width, len(rest)), replace=False)
+            return sorted(cols.tolist())
+
+        wide = st.tuples(widths, seeds).map(pick)
+        extras, extra = [data.draw(wide)], extra | wide
+    extras += data.draw(st.lists(extra, min_size=1 - len(extras), max_size=4 - len(extras)))
     x = ds.features.T
     args = (x[:, test], x[:, train], base, extras, k, ds.labels[train], ds.n_classes)
     with pytest.MonkeyPatch.context() as mp:
@@ -1050,6 +1084,63 @@ def test_refine_pass_with_k_past_the_block_count_equals_column_pass(tile_rows):
         assert sum(refined) == len(sets) * ds.n
         if tile_rows and k >= 30:
             assert len(refined) > folds.n_folds * len(sets)
+
+
+def test_one_pass_runs_refine_and_column_folds():
+    # folds of 130, 129, 128, 127 and 127 test rows leave 511-514 training
+    # rows, so each fold's own size picks its kernel: the first fold takes
+    # the column path, the others filter and refine. Rows copy 40 integer
+    # prototypes, so whole groups tie, with 3 classes
+    rng = np.random.default_rng(7)
+    n, d = 641, 8
+    protos = rng.integers(0, 4, size=(40, d)).astype(float)
+    ds = make_dataset(protos[rng.integers(0, 40, n)], rng.integers(0, 3, n))
+    fold_of = np.repeat(np.arange(5), [130, 129, 128, 127, 127])
+    folds = FoldAssignment(rng.permutation(fold_of), 5)
+    assert [folds.train_indices(f).size for f in range(5)] == [511, 512, 513, 514, 514]
+    base = [2, 0]
+    sets = [[], [1], [3, 5, 7], [1, 3, 4, 5, 6, 7]]
+    for k in (1, 5, 30):
+        with pytest.MonkeyPatch.context() as mp:
+            take_path(mp, refine=False)
+            want = _fold_votes(ds, folds, k, base, sets)
+        with pytest.MonkeyPatch.context() as mp:
+            kernels = record_kernels(mp)
+            got = _fold_votes(ds, folds, k, base, sets)
+        assert kernels == ["_column_fold"] + ["_refine_fold"] * 4
+        for got_arr, want_arr in zip(got, want):
+            assert got_arr.dtype == want_arr.dtype and got_arr.tobytes() == want_arr.tobytes()
+
+
+@pytest.mark.parametrize("base", [[], [0], [5, 0]])
+def test_refine_and_column_folds_sum_in_sequential_order(base):
+    # one query row of zeros against two training rows of 31 columns, whose
+    # squares are exact. Row 0's are 2^54 and thirty 1s: added in order, each
+    # 1 rounds away and the sum is 2^54, but numpy's pairwise order sums the
+    # 1s apart and keeps some of them. Row 1's are 2^54, 4 and zeros, 2^54 + 4
+    # in either order. So at k = 1 the sequential sums of _sq_distances vote
+    # row 0's class and pairwise sums row 1's, and each kernel must vote
+    # with _sq_distances. A base reorders the columns it holds
+    m = 31
+    t = np.zeros((2, m))
+    t[:, 0] = 2.0**27
+    t[0, 1:] = 1.0
+    t[1, 1] = 2.0
+    q = np.zeros((1, m))
+    train_y = np.array([0, 1])
+    extras = [sorted(set(range(m)) - set(base))]
+    order = [*base, *extras[0]]
+    d2 = _sq_distances(q[:, order], t[:, order])
+    want = _knn_from_d2(d2, train_y, 1, 2)
+    # np.add.reduce sums a contiguous vector pairwise
+    squares = (q[0, order] - t[:, order]) ** 2
+    pairwise = [np.add.reduce(np.ascontiguousarray(row)) for row in squares]
+    assert d2[0, 0] < d2[0, 1] and pairwise[0] > pairwise[1]
+    assert want[0].tolist() == [0]
+    for kernel in (hefs.metrics._column_fold, hefs.metrics._refine_fold):
+        got = kernel(q.T, t.T, base, extras, 1, train_y, 2)
+        for got_arr, want_arr in zip(got, want):
+            assert got_arr[0].tobytes() == want_arr.tobytes(), kernel.__name__
 
 
 @pytest.mark.parametrize("n_sets", [1, 4])
