@@ -11,6 +11,9 @@ and conditional features. An elitist archive keeps the running Pareto front.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -211,13 +214,146 @@ def selective_activation_init(r: int, cfg: GAConfig, rng: np.random.Generator) -
     return population
 
 
+# a search's evaluator starts its vote worker once its passes have spent this
+# long voting, so a short search never pays the worker's start (an
+# interpreter and numpy, about 150 ms of CPU) or its copy of the loop data.
+# On a 2-core VM, a bench/run.py `spambase_shape` search votes for 0.12-0.16 s
+# in all and a `cli_batch` one for about 0.06 s, so neither starts it. Median
+# `parity` command time over 6 inputs: 2.22 s at 0.1 s, 2.22 s at 0.25 s,
+# 2.37 s at 0.5 s, and 3.32 s never started
+_PARALLEL_AFTER_S = 0.25
+# the vote worker's program. The directory that holds this hefs goes first on
+# its path, so it imports this source whatever its working directory or
+# PYTHONPATH; a Ctrl-C reaches only the parent, which closes it
+_WORKER_SOURCE = (
+    "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+    "sys.path.insert(0, {root!r}); import hefs.ga; {main}"
+)
+_HEFS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the one byte a vote worker writes once it has imported hefs
+_READY = b"\x01"
+
+
+def _vote_worker() -> None:
+    """The vote worker's loop, on its standard input and output: write the
+    ready byte, read (ds, folds, k, base), then vote each list of extra sets
+    it reads with _fold_votes and write back the per-fold accuracies. An end
+    of input at any point, or a closed output, ends it quietly."""
+    source, sink = sys.stdin.buffer, sys.stdout.buffer
+    try:
+        sink.write(_READY)
+        sink.flush()
+        ds, folds, k, base = pickle.load(source)
+        while True:
+            _, _, fold_acc = _fold_votes(ds, folds, k, base, pickle.load(source))
+            pickle.dump(fold_acc, sink, protocol=pickle.HIGHEST_PROTOCOL)
+            sink.flush()
+    except (EOFError, OSError, pickle.UnpicklingError):
+        os._exit(0)  # skips the exit-time flush of a closed output
+
+
+class _VoteWorker:
+    """A second interpreter that votes the second half of a search's passes.
+
+    It holds its own copy of the loop data, sent once it has written its
+    ready byte: sent before, the data would fill the pipe and stall the
+    start. hefs_run owns one per search and closes it. If the process dies
+    or a pipe breaks, the worker closes and stays closed, and the evaluator
+    votes on alone. A set's votes do not depend on the other sets in its
+    pass, so no vote changes with the split.
+    """
+
+    def __init__(self, ds: Dataset, folds: FoldAssignment, k: int, base: Sequence[int]):
+        self._loop = (ds, folds, k, tuple(base))
+        self._proc = None
+        self._ready = False
+        self._closed = False
+
+    def start(self) -> None:
+        """Start the process, once, if this process may run on 2 CPUs or more."""
+        if self._proc is not None or self._closed:
+            return
+        affinity = getattr(os, "sched_getaffinity", None)
+        if affinity is None or len(affinity(0)) < 2:
+            self._closed = True
+            return
+        import subprocess
+
+        source = _WORKER_SOURCE.format(root=_HEFS_ROOT, main="hefs.ga._vote_worker()")
+        try:
+            self._proc = subprocess.Popen(
+                [sys.executable, "-c", source], stdin=subprocess.PIPE, stdout=subprocess.PIPE
+            )
+        except OSError:
+            self._closed = True
+
+    def ready(self) -> bool:
+        """Whether the worker can take a pass now. Never waits: until the
+        ready byte has arrived, the answer is no."""
+        if self._ready or self._proc is None:
+            return self._ready
+        import select
+
+        if not select.select([self._proc.stdout], [], [], 0)[0]:
+            return False
+        try:
+            if self._proc.stdout.read(1) != _READY:
+                raise EOFError("the vote worker exited before it was ready")
+            pickle.dump(self._loop, self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            self._proc.stdin.flush()
+        except (EOFError, OSError):
+            self.close()
+            return False
+        self._ready = True
+        return True
+
+    def send(self, extra_sets: Sequence[Sequence[int]]) -> bool:
+        """Hand the worker a pass's extra sets; False if it is gone."""
+        try:
+            pickle.dump(extra_sets, self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            self._proc.stdin.flush()
+        except OSError:
+            self.close()
+            return False
+        return True
+
+    def receive(self) -> Optional[np.ndarray]:
+        """The per-fold accuracies of the sets last sent; None if the worker
+        is gone."""
+        try:
+            return pickle.load(self._proc.stdout)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            self.close()
+            return None
+
+    def close(self) -> None:
+        """End the process: a ready worker exits on the end of its input; one
+        that is not ready yet is terminated, so a short search never waits
+        out its imports."""
+        proc, ready = self._proc, self._ready
+        self._proc, self._ready, self._closed = None, False, True
+        if proc is None:
+            return
+        for pipe in (proc.stdin, proc.stdout):
+            try:
+                pipe.close()
+            except OSError:  # a broken pipe's unsent bytes
+                pass
+        if not ready:
+            proc.terminate()
+        proc.wait()
+
+
 class FitnessEvaluator:
     """Scores genomes against one dataset; memoizes by bitmask.
 
     Accuracy is cv_accuracy over conditional + helper columns, bit for bit,
     whichever k-NN path votes: both vote through metrics._fold_votes, which
-    owns the summation order and the choice of path. The complementarity
-    objective is 1 - mean/max over the mutual information of every
+    owns the summation order and the choice of path. With a vote worker
+    (hefs_run's), once the evaluator's passes have taken _PARALLEL_AFTER_S
+    it starts the worker, and each pass of two or more sets sends its second
+    half there once the worker is ready; without one it votes alone. The
+    complementarity objective is 1 - mean/max over the mutual information of every
     (helper, conditional) column pair, read from a residual x conditional
     table built once; when every such MI is zero the helpers share nothing
     with the conditional set and the score is 1.
@@ -236,6 +372,8 @@ class FitnessEvaluator:
         self.cfg = cfg
         self.residual = residual_feature_indices(ds.d, conditional)
         self._memo: dict[bytes, FitnessPair] = {}
+        self._worker: Optional[_VoteWorker] = None  # set by hefs_run only
+        self._vote_s = 0.0  # time spent in this evaluator's passes
         n, r = cfg.n_bins, len(self.residual)
         codes = _column_codes(ds.features, self.residual + conditional.indices, n)
         # row i: MI of residual i against each conditional column, in order
@@ -243,15 +381,40 @@ class FitnessEvaluator:
 
     def _score(self, masks: dict[bytes, np.ndarray]) -> None:
         """Memoize the fitness of every mask, keyed by its bytes, with every
-        mask's cv_accuracy from one _fold_votes pass."""
+        mask's cv_accuracy from one pass."""
         if not masks:
             return
-        cond, k = self.conditional.indices, self.cfg.knn_k
         helper_sets = [_columns(self.residual, m) for m in masks.values()]
-        _, _, fold_acc = _fold_votes(self.ds, self.folds, k, cond, helper_sets)
+        started = time.perf_counter()
+        fold_acc = self._fold_acc(helper_sets)
+        self._vote_s += time.perf_counter() - started
         for (key, mask), row in zip(masks.items(), fold_acc):
             mi = self._cross_mi[mask].ravel()
             self._memo[key] = FitnessPair(float(row.mean()), complementarity_score(mi))
+
+    def _fold_acc(self, helper_sets: list[tuple[int, ...]]) -> np.ndarray:
+        """Per-fold accuracies of each helper set, (sets, n_folds): the first
+        half of the pass voted here, the second by the worker when it is
+        ready, or here too when it is gone."""
+
+        def vote(sets):
+            cond, k = self.conditional.indices, self.cfg.knn_k
+            return _fold_votes(self.ds, self.folds, k, cond, sets)[2]
+
+        worker = self._worker
+        if worker is None or len(helper_sets) < 2:
+            return vote(helper_sets)
+        if self._vote_s >= _PARALLEL_AFTER_S:
+            worker.start()
+        if not worker.ready():
+            return vote(helper_sets)
+        half = (len(helper_sets) + 1) // 2
+        sent = worker.send(helper_sets[half:])
+        first = vote(helper_sets[:half])
+        second = worker.receive() if sent else None
+        if second is None:
+            second = vote(helper_sets[half:])
+        return np.concatenate([first, second])
 
     def evaluate(self, individual: Individual) -> FitnessPair:
         key = individual.mask.tobytes()
@@ -424,6 +587,15 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
     leader-clustered reduction of the dataset and the final winner is
     rescored on the full dataset; otherwise the loop's accuracies already are
     full-dataset ones and pick the winner directly.
+
+    Parallel evaluation: once the search has spent _PARALLEL_AFTER_S (0.25 s)
+    voting, and this process may run on 2 CPUs or more, the run starts one
+    vote worker, a second Python process that imports this same hefs source.
+    It votes the second half of each later pass of two or more genomes; the
+    result is the same, byte for byte. The worker holds its own copy of the
+    loop data, and it is gone when this function returns or raises. Under
+    `taskset -c 0`, or where os.sched_getaffinity is missing, the run stays
+    in one process.
     """
     started = time.perf_counter()
     residual = residual_feature_indices(ds.d, conditional)
@@ -447,31 +619,34 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
 
     rng = np.random.default_rng(ga_ss)
     evaluator = FitnessEvaluator(ds_loop, conditional, folds_loop, cfg)
+    evaluator._worker = worker = _VoteWorker(ds_loop, folds_loop, cfg.knn_k, conditional.indices)
+    try:
+        population = selective_activation_init(len(residual), cfg, rng)
+        evaluator.evaluate_population(population)
+        archive = _front_of(population)
+        initial_front = list(archive)
+        trace = [_trace_record(0, archive)]
 
-    population = selective_activation_init(len(residual), cfg, rng)
-    evaluator.evaluate_population(population)
-    archive = _front_of(population)
-    initial_front = list(archive)
-    trace = [_trace_record(0, archive)]
+        for generation in range(1, cfg.generations + 1):
+            parents = selection(list(archive) + list(population), cfg.pop_size, rng)
+            order = rng.permutation(len(parents))
+            offspring: list[Individual] = []
+            for i in range(0, len(parents) - 1, 2):
+                child_a, child_b = single_point_crossover(
+                    parents[order[i]], parents[order[i + 1]], cfg.crossover_prob, rng
+                )
+                offspring.extend((child_a, child_b))
+            if len(parents) % 2:
+                offspring.append(parents[order[-1]])  # mutation copies the mask
+            offspring = [ratio_guided_mutation(child, cfg, rng) for child in offspring]
+            evaluator.evaluate_population(offspring)
 
-    for generation in range(1, cfg.generations + 1):
-        parents = selection(list(archive) + list(population), cfg.pop_size, rng)
-        order = rng.permutation(len(parents))
-        offspring: list[Individual] = []
-        for i in range(0, len(parents) - 1, 2):
-            child_a, child_b = single_point_crossover(
-                parents[order[i]], parents[order[i + 1]], cfg.crossover_prob, rng
-            )
-            offspring.extend((child_a, child_b))
-        if len(parents) % 2:
-            offspring.append(parents[order[-1]])  # mutation copies the mask
-        offspring = [ratio_guided_mutation(child, cfg, rng) for child in offspring]
-        evaluator.evaluate_population(offspring)
-
-        merge_base = initial_front if cfg.merge_initial_front else archive
-        archive = _front_of(offspring + merge_base)
-        population = offspring
-        trace.append(_trace_record(generation, archive))
+            merge_base = initial_front if cfg.merge_initial_front else archive
+            archive = _front_of(offspring + merge_base)
+            population = offspring
+            trace.append(_trace_record(generation, archive))
+    finally:
+        worker.close()
 
     if cfg.use_cluster_reduction:
         best_ind, best_acc = best_helper_set(archive, conditional, ds, folds_full, cfg)

@@ -1,4 +1,11 @@
+import json
 import math
+import os
+import pickle
+import select
+import signal
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hefs.ga
 import hefs.metrics
 from hefs import (
     ConditionalSet,
@@ -32,6 +40,7 @@ from hefs.ga import (
     complementarity_score,
     residual_feature_indices,
 )
+from hefs.cli import report_canonical_bytes, run
 from hefs.metrics import equal_width_bins
 from hefs.moo import FitnessPair
 from conftest import (
@@ -711,3 +720,210 @@ def test_run_fold_assignment_is_stable_per_seed(perfect_ds):
     a = run_fold_assignment(perfect_ds, cfg)
     b = run_fold_assignment(perfect_ds, cfg)
     np.testing.assert_array_equal(a.fold_of, b.fold_of)
+
+
+# --- the vote worker ----------------------------------------------------------------------
+# Under a one-CPU affinity mask (CI runs these tests under `taskset -c 0` too)
+# no search starts a worker, and each test checks the serial branch instead.
+
+MULTI_CPU = len(os.sched_getaffinity(0)) >= 2
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Record every vote worker hefs_run makes. Each starts at its search's
+    first pass and is waited for once, so every later pass of two or more
+    sets is split. With kill_at set, the process is killed once it holds
+    that pass's sets: stopped before they are sent, so it cannot answer.
+    Returns the class, whose `made` lists them."""
+
+    class Spy(hefs.ga._VoteWorker):
+        made = []
+        kill_at = None
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.passes, self.proc = 0, None
+            self.made.append(self)
+
+        def start(self):
+            super().start()
+            if self._proc is not None and self.proc is None:
+                self.proc = self._proc
+                select.select([self.proc.stdout], [], [], 60)
+
+        def send(self, extra_sets):
+            if self.passes != self.kill_at:
+                return super().send(extra_sets)
+            os.kill(self.proc.pid, signal.SIGSTOP)
+            sent = super().send(extra_sets)
+            os.kill(self.proc.pid, signal.SIGKILL)
+            return sent
+
+        def receive(self):
+            fold_acc = super().receive()
+            self.passes += fold_acc is not None
+            return fold_acc
+
+    monkeypatch.setattr(hefs.ga, "_VoteWorker", Spy)
+    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
+    return Spy
+
+
+def _canonical(args, out):
+    assert run([*map(str, args), "--out", str(out)]) == 0
+    return report_canonical_bytes(json.loads(out.read_text()))
+
+
+def _split_and_serial(workers, monkeypatch, tmp_path, args):
+    """Canonical report bytes of one command with every pass split, then
+    voted serially; checks that the split run did split its passes."""
+    split = _canonical(args, tmp_path / "split.json")
+    assert len(workers.made) >= 1
+    for worker in workers.made:
+        assert (worker.passes > 0) == MULTI_CPU
+        assert worker.proc is None or worker.proc.returncode == 0
+    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", math.inf)
+    serial = _canonical(args, tmp_path / "serial.json")
+    return split, serial
+
+
+def _write_prototype_csv(path, rng, n, d, n_prototypes):
+    """Small-integer rows, each a copy of one of n_prototypes prototypes,
+    three string classes: duplicate rows and exact distance ties everywhere."""
+    protos = rng.integers(0, 4, size=(n_prototypes, d))
+    proto_class = np.arange(n_prototypes) % 3
+    which = rng.permutation(np.arange(n) % n_prototypes)
+    lines = [",".join([f"c{j}" for j in range(d)] + ["kind"])]
+    lines += [",".join(map(str, protos[i])) + f",{'abc'[proto_class[i]]}" for i in which]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_vote_worker_split_passes_equal_serial_on_xor_parity(workers, monkeypatch, tmp_path):
+    (tmp_path / "cond.txt").write_text("f0\n")
+    args = ["--synth", "xor", "--n", "200", "--d", "12", "--pop", "10", "--iters", "12",
+            "--seed", "3", "--baseline", f"file:{tmp_path / 'cond.txt'}"]
+    split, serial = _split_and_serial(workers, monkeypatch, tmp_path, args)
+    assert split == serial
+
+
+def test_vote_worker_split_passes_equal_serial_on_tied_duplicate_rows(
+    workers, monkeypatch, tmp_path
+):
+    # 3 classes of duplicated integer rows, the loop on their leader clusters
+    path = tmp_path / "protos.csv"
+    _write_prototype_csv(path, np.random.default_rng(0), 300, 12, 45)
+    args = ["--dataset", path, "--label-col", "kind", "--baseline", "mi", "--cond-size", "3",
+            "--cluster-reduce", "--delta", "0.5", "--pop", "8", "--iters", "8", "--seed", "1"]
+    split, serial = _split_and_serial(workers, monkeypatch, tmp_path, args)
+    assert split == serial
+
+
+def test_vote_worker_split_passes_equal_serial_on_the_refine_path(workers, monkeypatch, tmp_path):
+    # 5 folds of 700 rows leave 560 training rows per fold: every pass refines
+    assert 700 * 4 // 5 >= hefs.metrics._REFINE_MIN_TRAIN
+    (tmp_path / "cond.txt").write_text("f0\n")
+    args = ["--synth", "xor", "--n", "700", "--d", "10", "--pop", "6", "--iters", "3",
+            "--seed", "2", "--baseline", f"file:{tmp_path / 'cond.txt'}"]
+    split, serial = _split_and_serial(workers, monkeypatch, tmp_path, args)
+    assert split == serial
+
+
+def test_vote_worker_split_passes_equal_serial_with_an_odd_population(
+    workers, monkeypatch, tmp_path
+):
+    (tmp_path / "cond.txt").write_text("f0\nf3\n")
+    args = ["--synth", "xor", "--n", "160", "--d", "14", "--pop", "7", "--iters", "10",
+            "--seed", "8", "--baseline", f"file:{tmp_path / 'cond.txt'}"]
+    split, serial = _split_and_serial(workers, monkeypatch, tmp_path, args)
+    assert split == serial
+
+
+def test_vote_worker_killed_mid_search_leaves_the_report_unchanged(
+    workers, monkeypatch, tmp_path
+):
+    # the killed worker's pass is voted here, and so is every later one
+    workers.kill_at = 3
+    (tmp_path / "cond.txt").write_text("f0\n")
+    args = ["--synth", "xor", "--n", "200", "--d", "12", "--pop", "10", "--iters", "12",
+            "--seed", "5", "--baseline", f"file:{tmp_path / 'cond.txt'}"]
+    killed = _canonical(args, tmp_path / "killed.json")
+    (worker,) = workers.made
+    if MULTI_CPU:
+        assert worker.passes == workers.kill_at
+        assert worker.proc.returncode == -signal.SIGKILL
+    else:
+        assert worker.proc is None
+    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", math.inf)
+    assert killed == _canonical(args, tmp_path / "serial.json")
+
+
+def test_vote_worker_one_cpu_starts_no_process(monkeypatch, xor_ds, cond_f0):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a one-CPU search started a process")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
+    assert hefs_run(xor_ds, cond_f0, GAConfig(pop_size=6, generations=4)).helper_indices
+
+
+def test_vote_worker_imports_the_parents_hefs(tmp_path):
+    # a decoy hefs in the working directory and on PYTHONPATH loses to the
+    # directory the worker's program puts first
+    decoy = tmp_path / "hefs"
+    decoy.mkdir()
+    (decoy / "__init__.py").write_text("")
+    (decoy / "ga.py").write_text("")
+    source = hefs.ga._WORKER_SOURCE.format(root=hefs.ga._HEFS_ROOT, main="print(hefs.__file__)")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", source], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == hefs.__file__
+
+
+@pytest.mark.parametrize("sent", ["nothing", "the loop data", "a cut pass"])
+def test_vote_worker_exits_quietly_on_end_of_input(xor_ds, sent):
+    folds = run_fold_assignment(xor_ds, GAConfig())
+    data = {
+        "nothing": b"",
+        "the loop data": pickle.dumps((xor_ds, folds, 5, (0,))),
+        "a cut pass": pickle.dumps((xor_ds, folds, 5, (0,))) + pickle.dumps([(1, 2)])[:-3],
+    }[sent]
+    source = hefs.ga._WORKER_SOURCE.format(root=hefs.ga._HEFS_ROOT, main="hefs.ga._vote_worker()")
+    proc = subprocess.run([sys.executable, "-c", source], input=data, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, hefs.ga._READY, b"")
+
+
+def test_vote_worker_closed_before_it_is_ready_is_terminated(xor_ds, cond_f0):
+    folds = run_fold_assignment(xor_ds, GAConfig())
+    worker = hefs.ga._VoteWorker(xor_ds, folds, 5, cond_f0.indices)
+    worker.start()
+    proc = worker._proc
+    assert (proc is not None) == MULTI_CPU
+    worker.close()
+    if MULTI_CPU:
+        assert proc.returncode == -signal.SIGTERM  # not waited on through its imports
+    assert not worker.ready()
+
+
+def test_vote_worker_is_gone_once_hefs_run_returns_or_raises(workers, monkeypatch, xor_ds, cond_f0):
+    cfg = GAConfig(pop_size=8, generations=6)
+    hefs_run(xor_ds, cond_f0, cfg)
+    selections = []
+
+    def failing_selection(*args):
+        selections.append(None)
+        if len(selections) == 3:
+            raise RuntimeError("selection failed")
+        return selection(*args)
+
+    monkeypatch.setattr(hefs.ga, "selection", failing_selection)
+    with pytest.raises(RuntimeError, match="selection failed"):
+        hefs_run(xor_ds, cond_f0, cfg)
+    assert len(workers.made) == 2
+    for worker in workers.made:
+        assert (worker.proc is not None) == MULTI_CPU
+        assert worker.proc is None or worker.proc.returncode == 0
