@@ -214,8 +214,8 @@ def selective_activation_init(r: int, cfg: GAConfig, rng: np.random.Generator) -
     return population
 
 
-# a search's evaluator starts its vote worker once its passes have spent this
-# long voting, so a short search never pays the worker's start (an
+# a search's _VoteWorker starts its process once it has spent this long
+# voting passes alone, so a short search never pays the worker's start (an
 # interpreter and numpy, about 150 ms of CPU) or its copy of the loop data.
 # On a 2-core VM, a bench/run.py `spambase_shape` search votes for 0.12-0.16 s
 # in all and a `cli_batch` one for about 0.06 s, so neither starts it. Median
@@ -227,7 +227,7 @@ _PARALLEL_AFTER_S = 0.25
 # PYTHONPATH; a Ctrl-C reaches only the parent, which closes it
 _WORKER_SOURCE = (
     "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
-    "sys.path.insert(0, {root!r}); import hefs.ga; {main}"
+    "sys.path.insert(0, {root!r}); import hefs.ga; hefs.ga._vote_worker()"
 )
 _HEFS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the one byte a vote worker writes once it has imported hefs
@@ -255,48 +255,65 @@ def _vote_worker() -> None:
 class _VoteWorker:
     """A second interpreter that votes the second half of a search's passes.
 
-    It holds its own copy of the loop data, sent once it has written its
-    ready byte: sent before, the data would fill the pipe and stall the
-    start. hefs_run owns one per search and closes it. If the process dies
-    or a pipe breaks, the worker closes and stays closed, and the evaluator
-    votes on alone. A set's votes do not depend on the other sets in its
-    pass, so no vote changes with the split.
+    It owns every choice about voting in two processes. It times the passes
+    it votes alone, and once they have taken _PARALLEL_AFTER_S it starts
+    the process, where this process may run on 2 CPUs or more and knows its
+    interpreter's path; otherwise it stays serial. It never waits for the
+    start: passes stay serial until the ready byte has arrived, and only then
+    is its copy of the loop data sent, so the data cannot fill the pipe and
+    stall the start. From then on each pass of two or more sets sends its
+    second half to the process and votes the first half here meanwhile. A
+    set's votes do not depend on the other sets in its pass, so no vote
+    changes with the split. If the process dies or a pipe breaks, the worker
+    closes and stays closed, and every later half is voted here. hefs_run
+    owns one per search and closes it.
     """
 
     def __init__(self, ds: Dataset, folds: FoldAssignment, k: int, base: Sequence[int]):
-        self._loop = (ds, folds, k, tuple(base))
+        affinity = getattr(os, "sched_getaffinity", None)
+        may_start = sys.executable and affinity is not None and len(affinity(0)) >= 2
+        # None once closed, and from the start where no process may start
+        self._loop = (ds, folds, k, tuple(base)) if may_start else None
         self._proc = None
         self._ready = False
-        self._closed = False
+        self._vote_s = 0.0  # time spent voting alone so far
 
-    def start(self) -> None:
-        """Start the process, once, if this process may run on 2 CPUs or more."""
-        if self._proc is not None or self._closed:
-            return
-        affinity = getattr(os, "sched_getaffinity", None)
-        if affinity is None or len(affinity(0)) < 2:
-            self._closed = True
-            return
-        import subprocess
-
-        source = _WORKER_SOURCE.format(root=_HEFS_ROOT, main="hefs.ga._vote_worker()")
-        try:
-            self._proc = subprocess.Popen(
-                [sys.executable, "-c", source], stdin=subprocess.PIPE, stdout=subprocess.PIPE
-            )
-        except OSError:
-            self._closed = True
+    def fold_acc(self, helper_sets: Sequence[Sequence[int]], vote) -> np.ndarray:
+        """Per-fold accuracies of each helper set, (sets, n_folds), as
+        vote(helper_sets) gives them: the worker votes the second half of the
+        pass when it is ready, and vote the rest."""
+        if len(helper_sets) >= 2 and self.ready():
+            half = (len(helper_sets) + 1) // 2
+            sent = self.send(helper_sets[half:])
+            first = vote(helper_sets[:half])
+            second = self.receive() if sent else None
+            if second is None:
+                second = vote(helper_sets[half:])
+            return np.concatenate([first, second])
+        started = time.perf_counter()
+        fold_acc = vote(helper_sets)
+        self._vote_s += time.perf_counter() - started
+        return fold_acc
 
     def ready(self) -> bool:
-        """Whether the worker can take a pass now. Never waits: until the
-        ready byte has arrived, the answer is no."""
-        if self._ready or self._proc is None:
+        """Whether the worker can take a pass now, starting the process the
+        first time it is needed. Never waits: until the ready byte has
+        arrived, the answer is no."""
+        if self._ready or self._loop is None:
             return self._ready
-        import select
-
-        if not select.select([self._proc.stdout], [], [], 0)[0]:
+        if self._proc is None and self._vote_s < _PARALLEL_AFTER_S:
             return False
+        import select
+        import subprocess
+
         try:
+            if self._proc is None:
+                self._proc = subprocess.Popen(
+                    [sys.executable, "-c", _WORKER_SOURCE.format(root=_HEFS_ROOT)],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                )
+            if not select.select([self._proc.stdout], [], [], 0)[0]:
+                return False
             if self._proc.stdout.read(1) != _READY:
                 raise EOFError("the vote worker exited before it was ready")
             pickle.dump(self._loop, self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
@@ -331,7 +348,7 @@ class _VoteWorker:
         that is not ready yet is terminated, so a short search never waits
         out its imports."""
         proc, ready = self._proc, self._ready
-        self._proc, self._ready, self._closed = None, False, True
+        self._loop, self._proc, self._ready = None, None, False
         if proc is None:
             return
         for pipe in (proc.stdin, proc.stdout):
@@ -349,10 +366,9 @@ class FitnessEvaluator:
 
     Accuracy is cv_accuracy over conditional + helper columns, bit for bit,
     whichever k-NN path votes: both vote through metrics._fold_votes, which
-    owns the summation order and the choice of path. With a vote worker
-    (hefs_run's), once the evaluator's passes have taken _PARALLEL_AFTER_S
-    it starts the worker, and each pass of two or more sets sends its second
-    half there once the worker is ready; without one it votes alone. The
+    owns the summation order and the choice of path. Each pass goes to the
+    vote worker that hefs_run gives the evaluator, which decides whether
+    and how to split it (see _VoteWorker); without one it votes alone. The
     complementarity objective is 1 - mean/max over the mutual information of every
     (helper, conditional) column pair, read from a residual x conditional
     table built once; when every such MI is zero the helpers share nothing
@@ -373,7 +389,6 @@ class FitnessEvaluator:
         self.residual = residual_feature_indices(ds.d, conditional)
         self._memo: dict[bytes, FitnessPair] = {}
         self._worker: Optional[_VoteWorker] = None  # set by hefs_run only
-        self._vote_s = 0.0  # time spent in this evaluator's passes
         n, r = cfg.n_bins, len(self.residual)
         codes = _column_codes(ds.features, self.residual + conditional.indices, n)
         # row i: MI of residual i against each conditional column, in order
@@ -385,36 +400,18 @@ class FitnessEvaluator:
         if not masks:
             return
         helper_sets = [_columns(self.residual, m) for m in masks.values()]
-        started = time.perf_counter()
-        fold_acc = self._fold_acc(helper_sets)
-        self._vote_s += time.perf_counter() - started
+        if self._worker is None:
+            fold_acc = self._vote(helper_sets)
+        else:
+            fold_acc = self._worker.fold_acc(helper_sets, self._vote)
         for (key, mask), row in zip(masks.items(), fold_acc):
             mi = self._cross_mi[mask].ravel()
             self._memo[key] = FitnessPair(float(row.mean()), complementarity_score(mi))
 
-    def _fold_acc(self, helper_sets: list[tuple[int, ...]]) -> np.ndarray:
-        """Per-fold accuracies of each helper set, (sets, n_folds): the first
-        half of the pass voted here, the second by the worker when it is
-        ready, or here too when it is gone."""
-
-        def vote(sets):
-            cond, k = self.conditional.indices, self.cfg.knn_k
-            return _fold_votes(self.ds, self.folds, k, cond, sets)[2]
-
-        worker = self._worker
-        if worker is None or len(helper_sets) < 2:
-            return vote(helper_sets)
-        if self._vote_s >= _PARALLEL_AFTER_S:
-            worker.start()
-        if not worker.ready():
-            return vote(helper_sets)
-        half = (len(helper_sets) + 1) // 2
-        sent = worker.send(helper_sets[half:])
-        first = vote(helper_sets[:half])
-        second = worker.receive() if sent else None
-        if second is None:
-            second = vote(helper_sets[half:])
-        return np.concatenate([first, second])
+    def _vote(self, helper_sets: Sequence[Sequence[int]]) -> np.ndarray:
+        """Per-fold accuracies of each helper set, (sets, n_folds)."""
+        cond, k = self.conditional.indices, self.cfg.knn_k
+        return _fold_votes(self.ds, self.folds, k, cond, helper_sets)[2]
 
     def evaluate(self, individual: Individual) -> FitnessPair:
         key = individual.mask.tobytes()
@@ -588,14 +585,9 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
     rescored on the full dataset; otherwise the loop's accuracies already are
     full-dataset ones and pick the winner directly.
 
-    Parallel evaluation: once the search has spent _PARALLEL_AFTER_S (0.25 s)
-    voting, and this process may run on 2 CPUs or more, the run starts one
-    vote worker, a second Python process that imports this same hefs source.
-    It votes the second half of each later pass of two or more genomes; the
-    result is the same, byte for byte. The worker holds its own copy of the
-    loop data, and it is gone when this function returns or raises. Under
-    `taskset -c 0`, or where os.sched_getaffinity is missing, the run stays
-    in one process.
+    A long search votes part of its passes in a second process, with the
+    same result byte for byte; the run's _VoteWorker says when and how, and
+    it is gone when this function returns or raises.
     """
     started = time.perf_counter()
     residual = residual_feature_indices(ds.d, conditional)

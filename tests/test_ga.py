@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -726,7 +728,9 @@ def test_run_fold_assignment_is_stable_per_seed(perfect_ds):
 # Under a one-CPU affinity mask (CI runs these tests under `taskset -c 0` too)
 # no search starts a worker, and each test checks the serial branch instead.
 
-MULTI_CPU = len(os.sched_getaffinity(0)) >= 2
+# as in hefs.ga, a platform without os.sched_getaffinity counts as one CPU
+MULTI_CPU = len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture
@@ -746,11 +750,13 @@ def workers(monkeypatch):
             self.passes, self.proc = 0, None
             self.made.append(self)
 
-        def start(self):
-            super().start()
+        def ready(self):
+            ready = super().ready()
             if self._proc is not None and self.proc is None:
                 self.proc = self._proc
                 select.select([self.proc.stdout], [], [], 60)
+                ready = super().ready()
+            return ready
 
         def send(self, extra_sets):
             if self.passes != self.kill_at:
@@ -858,14 +864,51 @@ def test_vote_worker_killed_mid_search_leaves_the_report_unchanged(
     assert killed == _canonical(args, tmp_path / "serial.json")
 
 
-def test_vote_worker_one_cpu_starts_no_process(monkeypatch, xor_ds, cond_f0):
-    def no_process(*args, **kwargs):
-        raise AssertionError("a one-CPU search started a process")
+def _no_process(*args, **kwargs):
+    raise AssertionError("the search started a process")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(subprocess, "Popen", no_process)
+
+def test_vote_worker_one_cpu_starts_no_process(monkeypatch, xor_ds, cond_f0):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(subprocess, "Popen", _no_process)
     monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
     assert hefs_run(xor_ds, cond_f0, GAConfig(pop_size=6, generations=4)).helper_indices
+
+
+@pytest.mark.parametrize("executable", [None, ""])
+def test_vote_worker_without_an_interpreter_path_stays_serial(monkeypatch, tmp_path, executable):
+    # Python sets sys.executable to None or "" when it cannot tell its own path
+    (tmp_path / "cond.txt").write_text("f0\n")
+    args = ["--synth", "xor", "--n", "120", "--d", "8", "--pop", "6", "--iters", "4",
+            "--seed", "4", "--baseline", f"file:{tmp_path / 'cond.txt'}"]
+    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", math.inf)
+    serial = _canonical(args, tmp_path / "serial.json")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(subprocess, "Popen", _no_process)
+    monkeypatch.setattr(sys, "executable", executable)
+    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
+    assert _canonical(args, tmp_path / "no_path.json") == serial
+
+
+def test_vote_worker_short_searches_start_no_process(monkeypatch, tmp_path):
+    # searches like the benchmark's spambase_shape and cli_batch ones vote
+    # for less than the default _PARALLEL_AFTER_S, so none of them pays for
+    # a worker's start
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(subprocess, "Popen", _no_process)
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    spam = tmp_path / "spam.csv"
+    workloads.write_spambase_shape(spam, np.random.default_rng(0), 500, 57)
+    _canonical(["--dataset", spam, "--label-col", "spam", "--baseline", "mi", "--cond-size", "20",
+                "--pop", "4", "--iters", "2", "--seed", "0"], tmp_path / "spam.json")
+    protos = tmp_path / "protos.csv"
+    _write_prototype_csv(protos, np.random.default_rng(1), 300, 12, 45)
+    args = ["--dataset", protos, "--label-col", "kind", "--baseline", "mi", "--cond-size", "3",
+            "--cluster-reduce", "--runs", "2", "--pop", "8", "--iters", "8", "--seed", "0"]
+    assert run([*map(str, args), "--out", str(tmp_path / "batch")]) == 0
 
 
 def test_vote_worker_imports_the_parents_hefs(tmp_path):
@@ -874,14 +917,13 @@ def test_vote_worker_imports_the_parents_hefs(tmp_path):
     decoy = tmp_path / "hefs"
     decoy.mkdir()
     (decoy / "__init__.py").write_text("")
-    (decoy / "ga.py").write_text("")
-    source = hefs.ga._WORKER_SOURCE.format(root=hefs.ga._HEFS_ROOT, main="print(hefs.__file__)")
+    (decoy / "ga.py").write_text("def _vote_worker():\n    print('decoy')\n")
+    source = hefs.ga._WORKER_SOURCE.format(root=hefs.ga._HEFS_ROOT)
     env = {**os.environ, "PYTHONPATH": str(tmp_path)}
     proc = subprocess.run(
-        [sys.executable, "-c", source], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-c", source], cwd=tmp_path, env=env, input=b"", capture_output=True
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == hefs.__file__
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, hefs.ga._READY, b"")
 
 
 @pytest.mark.parametrize("sent", ["nothing", "the loop data", "a cut pass"])
@@ -892,15 +934,16 @@ def test_vote_worker_exits_quietly_on_end_of_input(xor_ds, sent):
         "the loop data": pickle.dumps((xor_ds, folds, 5, (0,))),
         "a cut pass": pickle.dumps((xor_ds, folds, 5, (0,))) + pickle.dumps([(1, 2)])[:-3],
     }[sent]
-    source = hefs.ga._WORKER_SOURCE.format(root=hefs.ga._HEFS_ROOT, main="hefs.ga._vote_worker()")
+    source = hefs.ga._WORKER_SOURCE.format(root=hefs.ga._HEFS_ROOT)
     proc = subprocess.run([sys.executable, "-c", source], input=data, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, hefs.ga._READY, b"")
 
 
-def test_vote_worker_closed_before_it_is_ready_is_terminated(xor_ds, cond_f0):
+def test_vote_worker_closed_before_it_is_ready_is_terminated(monkeypatch, xor_ds, cond_f0):
+    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
     folds = run_fold_assignment(xor_ds, GAConfig())
     worker = hefs.ga._VoteWorker(xor_ds, folds, 5, cond_f0.indices)
-    worker.start()
+    assert not worker.ready()  # started, but its imports take far longer than this call
     proc = worker._proc
     assert (proc is not None) == MULTI_CPU
     worker.close()
