@@ -13,9 +13,11 @@ import csv
 import io
 import json
 import os
+import pickle
 import re
 import sys
 import tempfile
+import threading
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,6 +27,7 @@ import numpy as np
 from .baselines import ConditionalSet, load_conditional, mi_rank_select, ttest_rank_select
 from .dataset import Dataset, DatasetError, LabelColumnError
 from .dataset import load_csv, synth_xor_dataset, zscore_normalize
+from . import ga
 from .ga import ConfigError, GAConfig, hefs_run, residual_feature_indices, run_fold_assignment
 from .metrics import full_metrics
 
@@ -66,7 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", dest="n_bins", type=int, help="histogram bins for mutual information")
     p.add_argument("--pc", dest="crossover_prob", type=float, help="crossover probability")
     p.add_argument("--seed", type=int, help="base random seed")
-    p.add_argument("--runs", type=int, default=1, help="independent runs with seeds seed..seed+runs-1")
+    p.add_argument(
+        "--runs",
+        type=int,
+        default=1,
+        help="independent runs with seeds seed..seed+runs-1; with 2 or more, a second "
+        "process runs some of them, with the same reports",
+    )
     p.add_argument(
         "--cluster-reduce",
         dest="use_cluster_reduction",
@@ -190,23 +199,154 @@ def _build_conditional(args: argparse.Namespace, ds: Dataset) -> ConditionalSet:
 
 
 def _execute(args: argparse.Namespace, cfg: GAConfig) -> int:
-    ds, dataset_info = _load_dataset(args)
-    conditional = _build_conditional(args, ds)
+    """Load the data, run every run, and write the reports and the aggregate.
 
-    out = Path(args.out)
-    paths = []
-    for i in range(args.runs):
-        run_cfg = replace(cfg, seed=cfg.seed + i)
-        path = out if args.runs == 1 else out / f"run_seed_{run_cfg.seed}.json"
-        write_report(_single_run(ds, dataset_info, conditional, run_cfg), path)
-        print(f"wrote {path}")
-        paths.append(path)
+    This process writes every report, `wrote` line and aggregate file in
+    seed order, so the output is the same whichever process ran a run; which
+    one does is _RunPool's choice. A run's exception is raised here when its
+    turn comes, after the earlier reports and before any later one.
+    """
+    with _RunPool(args.runs) as pool:  # first, so the worker's imports overlap loading
+        ds, dataset_info = _load_dataset(args)
+        conditional = _build_conditional(args, ds)
+        configs = [replace(cfg, seed=cfg.seed + i) for i in range(args.runs)]
+        pool.feed((ds, dataset_info, conditional), configs)
+
+        out = Path(args.out)
+        paths = []
+        for i, run_cfg in enumerate(configs):
+            path = out if args.runs == 1 else out / f"run_seed_{run_cfg.seed}.json"
+            # None: this process runs it
+            report = pool.report(i) or _single_run(ds, dataset_info, conditional, run_cfg)
+            write_report(report, path)
+            print(f"wrote {path}")
+            paths.append(path)
     if args.runs > 1:
         summary = aggregate(paths)
         _write_text_atomic(out / "aggregate.json", _dump_json(summary))
         _write_text_atomic(out / "aggregate.csv", _aggregate_csv(summary))
         print(f"wrote {out / 'aggregate.json'}")
     return 0
+
+
+class _RunPool:
+    """A batch's runs, shared with one second interpreter, the run worker.
+
+    It starts the worker as soon as it is built, for a batch of 2 runs or
+    more, where hefs.ga._may_start_worker allows one. Both processes claim
+    whole runs: this one from the front, in seed order, so it always runs
+    the first; the worker from the back, one at a time. A feeder thread
+    talks to the worker: it sends the loop data only after the ready byte,
+    so this process never stalls on a full pipe, and then hands over one
+    run at a time, each claimed when the worker is free. Runs are seeded and
+    independent, so each report is the one a serial batch writes. A run that
+    raises in the worker, or that a dead worker lost, is run here instead,
+    where it raises the same. While the worker lives it holds the second
+    CPU (hefs.ga._second_cpu_taken), so no search in either process starts
+    a vote worker. Leaving the block ends the worker by
+    hefs.ga._close_worker's rule, even on a KeyboardInterrupt. _execute
+    owns the output; hefs.ga._VoteWorker owns parallel voting within a run.
+    """
+
+    def __init__(self, n_runs: int):
+        self._cond = threading.Condition()
+        self._front, self._back = 0, n_runs - 1  # the runs no one has claimed
+        self._results: dict[int, Optional[dict]] = {}  # the worker's reports by run
+        self._owes: Optional[int] = None  # the run the worker is on
+        self._ready = self._closing = False
+        self._proc = self._thread = None
+        if n_runs >= 2 and ga._may_start_worker():
+            try:
+                self._proc = ga._start_worker("cli", "_run_worker")
+            except OSError:
+                return
+            ga._second_cpu_taken = True
+
+    def __enter__(self) -> "_RunPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def feed(self, shared: tuple, configs: Sequence[GAConfig]) -> None:
+        """Start handing runs to the worker: shared holds _single_run's
+        leading arguments, and configs[i] is run i's config."""
+        if self._proc is not None:
+            args = (self._proc, shared, configs)
+            self._thread = threading.Thread(target=self._feed, args=args, daemon=True)
+            self._thread.start()
+
+    def _feed(self, proc, shared: tuple, configs: Sequence[GAConfig]) -> None:
+        try:
+            ga._read_ready(proc)
+            with self._cond:
+                self._ready = True
+            sent = False
+            while (i := self._claim()) is not None:
+                if not sent:
+                    pickle.dump(shared, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+                    sent = True
+                pickle.dump(configs[i], proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+                proc.stdin.flush()
+                report = pickle.load(proc.stdout)
+                with self._cond:
+                    self._results[i], self._owes = report, None
+                    self._cond.notify_all()
+        except (EOFError, OSError, pickle.PickleError):  # the worker is lost, never a run
+            proc.kill()
+        finally:
+            with self._cond:
+                if self._owes is not None:
+                    self._results[self._owes], self._owes = None, None
+                self._cond.notify_all()
+
+    def _claim(self) -> Optional[int]:
+        """The last run no one has claimed, now the worker's; None if none
+        is left or the pool is closing."""
+        with self._cond:
+            if self._closing or self._back < self._front:
+                return None
+            self._owes, self._back = self._back, self._back - 1
+            return self._owes
+
+    def report(self, i: int) -> Optional[dict]:
+        """Run i's report from the worker, waiting for it; None where this
+        process is to run it: a run no one had claimed (it is claimed here
+        now), or one the worker did not finish. Asked in seed order."""
+        with self._cond:
+            if i <= self._back:
+                self._front = i + 1
+                return None
+            while i not in self._results:
+                self._cond.wait()
+            return self._results.pop(i)
+
+    def close(self) -> None:
+        """Stop handing out runs and end the worker, joining the feeder."""
+        with self._cond:
+            self._closing = True
+            proc, ready, owes = self._proc, self._ready, self._owes is not None
+            self._proc = None
+        if proc is not None:
+            try:
+                ga._close_worker(proc, ready, owes, self._thread)
+            finally:
+                ga._second_cpu_taken = False
+
+
+def _run_worker() -> None:
+    """The run worker's loop (see _RunPool): its data is _single_run's
+    leading arguments, and it answers each config with that run's report,
+    or None where the run raised."""
+    ga._second_cpu_taken = True  # the parent holds the other CPU
+    ga._serve(_worker_run)
+
+
+def _worker_run(shared: tuple, cfg: GAConfig) -> Optional[dict]:
+    try:
+        return _single_run(*shared, cfg)
+    except Exception:  # the parent runs it again, and raises there in seed order
+        return None
 
 
 def _single_run(

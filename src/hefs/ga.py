@@ -222,60 +222,117 @@ def selective_activation_init(r: int, cfg: GAConfig, rng: np.random.Generator) -
 # `parity` command time over 6 inputs: 2.22 s at 0.1 s, 2.22 s at 0.25 s,
 # 2.37 s at 0.5 s, and 3.32 s never started
 _PARALLEL_AFTER_S = 0.25
-# the vote worker's program. The directory that holds this hefs goes first on
-# its path, so it imports this source whatever its working directory or
-# PYTHONPATH; a Ctrl-C reaches only the parent, which closes it
+# the program of a worker process, which runs the loop hefs.<module>.<loop>.
+# The directory that holds this hefs goes first on its path, so it imports
+# this source whatever its working directory or PYTHONPATH; a Ctrl-C reaches
+# only the parent, which closes it
 _WORKER_SOURCE = (
     "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
-    "sys.path.insert(0, {root!r}); import hefs.ga; hefs.ga._vote_worker()"
+    "sys.path.insert(0, {root!r}); from hefs.{module} import {loop}; {loop}()"
 )
 _HEFS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# the one byte a vote worker writes once it has imported hefs
+# the one byte a worker process writes once it has imported hefs
 _READY = b"\x01"
+# True while a run worker holds this process's second CPU: in a batch's
+# parent while its hefs.cli._RunPool lives, and for good in the run worker
+# itself. hefs_run then builds no _VoteWorker, because both CPUs are taken
+_second_cpu_taken = False
 
 
-def _vote_worker() -> None:
-    """The vote worker's loop, on its standard input and output: write the
-    ready byte, read (ds, folds, k, base), then vote each list of extra sets
-    it reads with _fold_votes and write back the per-fold accuracies. An end
-    of input at any point, or a closed output, ends it quietly."""
+def _may_start_worker() -> bool:
+    """The start rule of both kinds of worker process, a search's _VoteWorker
+    and a batch's hefs.cli._RunPool: this process may run on 2 CPUs or more,
+    and Python knows its interpreter's path."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return bool(sys.executable) and affinity is not None and len(affinity(0)) >= 2
+
+
+def _start_worker(module: str, loop: str):
+    """A worker process running hefs.<module>.<loop>() on two pipes."""
+    import subprocess
+
+    source = _WORKER_SOURCE.format(root=_HEFS_ROOT, module=module, loop=loop)
+    return subprocess.Popen(
+        [sys.executable, "-c", source], stdin=subprocess.PIPE, stdout=subprocess.PIPE
+    )
+
+
+def _read_ready(proc) -> None:
+    """Read a worker's ready byte, waiting for it; EOFError if the worker
+    exited first."""
+    if proc.stdout.read(1) != _READY:
+        raise EOFError("the worker exited before it was ready")
+
+
+def _close_worker(proc, ready: bool, owes: bool, thread=None) -> None:
+    """The close rule of both kinds of worker process. One that owes an
+    answer is killed: it may be stopped, or far from done. One that is not
+    ready yet is terminated, so no one waits out its imports. Then thread,
+    the parent's thread that talks to the worker, if any, is joined. Last,
+    both pipes close, so an idle worker exits on the end of its input, and
+    the process is reaped."""
+    if owes:
+        proc.kill()
+    elif not ready:
+        proc.terminate()
+    if thread is not None:
+        thread.join()
+    for pipe in (proc.stdin, proc.stdout):
+        try:
+            pipe.close()
+        except OSError:  # a broken pipe's unsent bytes
+            pass
+    proc.wait()
+
+
+def _serve(answer) -> None:
+    """A worker process's loop, on its standard input and output: write the
+    ready byte, read the loop data, then answer each item it reads with
+    answer(data, item) and write the answer back. An end of input at any
+    point, or a closed output, ends it quietly."""
     source, sink = sys.stdin.buffer, sys.stdout.buffer
     try:
         sink.write(_READY)
         sink.flush()
-        ds, folds, k, base = pickle.load(source)
+        data = pickle.load(source)
         while True:
-            _, _, fold_acc = _fold_votes(ds, folds, k, base, pickle.load(source))
-            pickle.dump(fold_acc, sink, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(answer(data, pickle.load(source)), sink, protocol=pickle.HIGHEST_PROTOCOL)
             sink.flush()
     except (EOFError, OSError, pickle.UnpicklingError):
         os._exit(0)  # skips the exit-time flush of a closed output
+
+
+def _vote_worker() -> None:
+    """The vote worker's loop: its data is (ds, folds, k, base), and it
+    answers each list of extra sets with their per-fold accuracies from
+    _fold_votes."""
+    _serve(lambda loop, extra_sets: _fold_votes(*loop, extra_sets)[2])
 
 
 class _VoteWorker:
     """A second interpreter that votes the second half of a search's passes.
 
     It owns every choice about voting in two processes. It times the passes
-    it votes alone, and once they have taken _PARALLEL_AFTER_S it starts
-    the process, where this process may run on 2 CPUs or more and knows its
-    interpreter's path; otherwise it stays serial. It never waits for the
-    start: passes stay serial until the ready byte has arrived, and only then
-    is its copy of the loop data sent, so the data cannot fill the pipe and
-    stall the start. From then on each pass of two or more sets sends its
-    second half to the process and votes the first half here meanwhile. A
-    set's votes do not depend on the other sets in its pass, so no vote
-    changes with the split. If the process dies or a pipe breaks, the worker
-    closes and stays closed, and every later half is voted here. hefs_run
-    owns one per search and closes it.
+    it votes alone, and once they have taken _PARALLEL_AFTER_S it starts the
+    process, where _may_start_worker allows one; otherwise it stays serial.
+    It never waits for the start: passes stay serial until the ready byte has
+    arrived, and only then is its copy of the loop data sent, so the data
+    cannot fill the pipe and stall the start. From then on each pass of two
+    or more sets sends its second half to the process and votes the first
+    half here meanwhile. A set's votes do not depend on the other sets in its
+    pass, so no vote changes with the split. If the process dies or a pipe
+    breaks, the worker closes and stays closed, and every later half is voted
+    here. hefs_run owns one per search and closes it by _close_worker's rule.
+    It builds none while a batch's run worker holds the second CPU: which
+    process runs a whole run is hefs.cli._RunPool's choice.
     """
 
     def __init__(self, ds: Dataset, folds: FoldAssignment, k: int, base: Sequence[int]):
-        affinity = getattr(os, "sched_getaffinity", None)
-        may_start = sys.executable and affinity is not None and len(affinity(0)) >= 2
         # None once closed, and from the start where no process may start
-        self._loop = (ds, folds, k, tuple(base)) if may_start else None
+        self._loop = (ds, folds, k, tuple(base)) if _may_start_worker() else None
         self._proc = None
         self._ready = False
+        self._owes = False  # a half pass is sent and its answer not read
         self._vote_s = 0.0  # time spent voting alone so far
 
     def fold_acc(self, helper_sets: Sequence[Sequence[int]], vote) -> np.ndarray:
@@ -304,18 +361,13 @@ class _VoteWorker:
         if self._proc is None and self._vote_s < _PARALLEL_AFTER_S:
             return False
         import select
-        import subprocess
 
         try:
             if self._proc is None:
-                self._proc = subprocess.Popen(
-                    [sys.executable, "-c", _WORKER_SOURCE.format(root=_HEFS_ROOT)],
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                )
+                self._proc = _start_worker("ga", "_vote_worker")
             if not select.select([self._proc.stdout], [], [], 0)[0]:
                 return False
-            if self._proc.stdout.read(1) != _READY:
-                raise EOFError("the vote worker exited before it was ready")
+            _read_ready(self._proc)
             pickle.dump(self._loop, self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
             self._proc.stdin.flush()
         except (EOFError, OSError):
@@ -326,6 +378,7 @@ class _VoteWorker:
 
     def send(self, extra_sets: Sequence[Sequence[int]]) -> bool:
         """Hand the worker a pass's extra sets; False if it is gone."""
+        self._owes = True
         try:
             pickle.dump(extra_sets, self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
             self._proc.stdin.flush()
@@ -338,27 +391,19 @@ class _VoteWorker:
         """The per-fold accuracies of the sets last sent; None if the worker
         is gone."""
         try:
-            return pickle.load(self._proc.stdout)
+            fold_acc = pickle.load(self._proc.stdout)
         except (EOFError, OSError, pickle.UnpicklingError):
             self.close()
             return None
+        self._owes = False
+        return fold_acc
 
     def close(self) -> None:
-        """End the process: a ready worker exits on the end of its input; one
-        that is not ready yet is terminated, so a short search never waits
-        out its imports."""
-        proc, ready = self._proc, self._ready
-        self._loop, self._proc, self._ready = None, None, False
-        if proc is None:
-            return
-        for pipe in (proc.stdin, proc.stdout):
-            try:
-                pipe.close()
-            except OSError:  # a broken pipe's unsent bytes
-                pass
-        if not ready:
-            proc.terminate()
-        proc.wait()
+        """End the process by _close_worker's rule."""
+        proc, ready, owes = self._proc, self._ready, self._owes
+        self._loop, self._proc, self._ready, self._owes = None, None, False, False
+        if proc is not None:
+            _close_worker(proc, ready, owes)
 
 
 class FitnessEvaluator:
@@ -587,7 +632,8 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
 
     A long search votes part of its passes in a second process, with the
     same result byte for byte; the run's _VoteWorker says when and how, and
-    it is gone when this function returns or raises.
+    it is gone when this function returns or raises. There is none while a
+    batch's run worker holds the second CPU (_second_cpu_taken).
     """
     started = time.perf_counter()
     residual = residual_feature_indices(ds.d, conditional)
@@ -611,7 +657,8 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
 
     rng = np.random.default_rng(ga_ss)
     evaluator = FitnessEvaluator(ds_loop, conditional, folds_loop, cfg)
-    evaluator._worker = worker = _VoteWorker(ds_loop, folds_loop, cfg.knn_k, conditional.indices)
+    if not _second_cpu_taken:
+        evaluator._worker = _VoteWorker(ds_loop, folds_loop, cfg.knn_k, conditional.indices)
     try:
         population = selective_activation_init(len(residual), cfg, rng)
         evaluator.evaluate_population(population)
@@ -638,7 +685,8 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
             population = offspring
             trace.append(_trace_record(generation, archive))
     finally:
-        worker.close()
+        if evaluator._worker is not None:
+            evaluator._worker.close()
 
     if cfg.use_cluster_reduction:
         best_ind, best_acc = best_helper_set(archive, conditional, ds, folds_full, cfg)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -5,6 +7,9 @@ from hypothesis import strategies as st
 import hefs.metrics
 from hefs import ConditionalSet, Dataset, FoldAssignment, synth_xor_dataset, zscore_normalize
 from hefs.metrics import _sq_distances
+
+# as in hefs.ga, a platform without os.sched_getaffinity counts as one CPU
+MULTI_CPU = len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
 
 
 def make_dataset(features, labels, names=None, label_values=None) -> Dataset:
@@ -15,6 +20,17 @@ def make_dataset(features, labels, names=None, label_values=None) -> Dataset:
     if label_values is None:
         label_values = tuple(str(v) for v in range(int(labels.max()) + 1))
     return Dataset(features, labels, tuple(names), tuple(label_values))
+
+
+def write_prototype_csv(path, rng, n, d, n_prototypes):
+    """Small-integer rows, each a copy of one of n_prototypes prototypes,
+    three string classes: duplicate rows and exact distance ties everywhere."""
+    protos = rng.integers(0, 4, size=(n_prototypes, d))
+    proto_class = np.arange(n_prototypes) % 3
+    which = rng.permutation(np.arange(n) % n_prototypes)
+    lines = [",".join([f"c{j}" for j in range(d)] + ["kind"])]
+    lines += [",".join(map(str, protos[i])) + f",{'abc'[proto_class[i]]}" for i in which]
+    path.write_text("\n".join(lines) + "\n")
 
 
 @st.composite

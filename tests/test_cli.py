@@ -1,9 +1,13 @@
 import importlib.resources
 import json
+import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -12,8 +16,11 @@ import numpy as np
 import pytest
 
 import hefs
+import hefs.cli
+import hefs.ga
 from hefs import GAConfig
 from hefs.cli import aggregate, build_parser, report_canonical_bytes, run
+from conftest import MULTI_CPU, write_prototype_csv
 
 SCHEMA = json.loads(
     importlib.resources.files("hefs").joinpath("report_schema.json").read_text()
@@ -471,6 +478,216 @@ def test_aggregate_rejects_mixed_versions_and_empty(tmp_path):
         aggregate([a, b])
     with pytest.raises(ValueError, match="no report files"):
         aggregate([])
+
+
+# --- the run worker ---------------------------------------------------------------------
+# Under a one-CPU affinity mask (CI runs these tests under `taskset -c 0` too)
+# the equality tests check the serial branch; the others patch a 2-CPU mask,
+# so they meet a run worker on any machine.
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Record every run pool _execute builds. Before this process claims
+    its first run it waits (at most 60 s) for the worker to claim one, so
+    the worker runs at least one run wherever it starts. on_claim(pool), if
+    set, is then called with the worker on that run. Returns the class,
+    whose `made` lists the pools; each records the runs this process ran
+    (`here`) and those whose report came from the worker (`sent`)."""
+
+    class Spy(hefs.cli._RunPool):
+        made = []
+        on_claim = None
+
+        def __init__(self, n_runs):
+            super().__init__(n_runs)
+            self.proc, self.here, self.sent = self._proc, [], []
+            self.made.append(self)
+
+        def report(self, i):
+            if i == 0 and self.proc is not None:
+                deadline = time.monotonic() + 60
+                while self._owes is None and not self._results and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                if Spy.on_claim is not None:
+                    Spy.on_claim(self)
+            report = super().report(i)
+            (self.here if report is None else self.sent).append(i)
+            return report
+
+    monkeypatch.setattr(hefs.cli, "_RunPool", Spy)
+    return Spy
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _batch_output(monkeypatch, capsys, where, args):
+    """Exit code, stdout, stderr and files of a batch run in directory
+    where, writing to the relative --out batch: each report as its canonical
+    bytes, and every other file as it is."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    code = run([*map(str, args), "--out", "batch"])
+    out, err = capsys.readouterr()
+    files = {}
+    for path in sorted((where / "batch").glob("*")):
+        text = path.read_bytes()
+        if path.name.startswith("run_seed_"):
+            text = report_canonical_bytes(json.loads(text))
+        files[path.name] = text
+    return code, out, err, files
+
+
+def _serial_output(monkeypatch, capsys, where, args):
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return _batch_output(mp, capsys, where, args)
+
+
+def _prototype_batch(tmp_path):
+    path = tmp_path / "protos.csv"
+    write_prototype_csv(path, np.random.default_rng(2), 300, 12, 45)
+    return ["--dataset", path, "--label-col", "kind", "--baseline", "mi", "--cond-size", "3",
+            "--cluster-reduce", "--delta", "0.5", "--pop", "8", "--iters", "8", "--seed", "4",
+            "--runs", "3"]
+
+
+@pytest.mark.parametrize("data", ["xor", "prototype rows", "many tiny runs"])
+def test_run_worker_batch_equals_serial(pools, monkeypatch, capsys, tmp_path, cond_file, data):
+    xor = ["--synth", "xor", "--baseline", f"file:{cond_file}", "--seed", "3"]
+    args = {
+        "xor": xor + ["--n", "200", "--d", "12", "--pop", "10", "--iters", "12", "--runs", "4"],
+        "prototype rows": _prototype_batch(tmp_path),
+        "many tiny runs": xor + ["--n", "40", "--d", "6", "--pop", "4", "--iters", "1",
+                                 "--runs", "12"],
+    }[data]
+    n_runs = int(args[args.index("--runs") + 1])
+    switch = sys.getswitchinterval()
+    if data == "many tiny runs":  # the two threads trade the claims as often as they can
+        sys.setswitchinterval(1e-6)
+    try:
+        parallel = _batch_output(monkeypatch, capsys, tmp_path / "parallel", args)
+    finally:
+        sys.setswitchinterval(switch)
+    (pool,) = pools.made
+    assert (pool.proc is not None) == MULTI_CPU
+    assert pool.here[0] == 0  # this process always runs the first run
+    assert sorted(pool.here + pool.sent) == list(range(n_runs))  # each run once
+    if MULTI_CPU:
+        assert pool.sent  # the worker ran at least one run
+        assert pool.proc.returncode == 0
+    else:
+        assert pool.here == list(range(n_runs))
+    serial = _serial_output(monkeypatch, capsys, tmp_path / "serial", args)
+    assert pools.made[1].proc is None
+    assert parallel[0] == 0 and len(parallel[3]) == n_runs + 2
+    assert parallel == serial
+
+
+@pytest.mark.parametrize("seed, runs", [(1, 2), (2, 4)])
+def test_run_worker_failing_run_stops_the_batch_as_a_serial_one_does(
+    pools, monkeypatch, capsys, tmp_path, seed, runs
+):
+    # clustering with --delta 0.4 leaves too few rows for 5 folds at seed 2
+    # of the 60 rows and at seed 3 of the 80 rows: in (1, 2) the failing run
+    # is the worker's; in (2, 4) it is this process's second run, while the
+    # worker is on seed 5
+    _two_cpus(monkeypatch)
+    args = ["--synth", "xor", "--n", "60" if seed == 1 else "80", "--d", "4", "--cond-size", "1",
+            "--pop", "4", "--iters", "2", "--delta", "0.4", "--cluster-reduce",
+            "--seed", seed, "--runs", runs]
+    parallel = _batch_output(monkeypatch, capsys, tmp_path / "parallel", args)
+    (pool,) = pools.made
+    assert pool.proc is not None and pool.proc.returncode is not None
+    serial = _serial_output(monkeypatch, capsys, tmp_path / "serial", args)
+    assert parallel[0] == 2 and "cluster reduction with delta=0.4" in parallel[2]
+    assert list(parallel[3]) == [f"run_seed_{seed}.json"]
+    assert parallel == serial
+
+
+def test_run_worker_killed_mid_run_leaves_the_reports_unchanged(
+    pools, monkeypatch, capsys, tmp_path
+):
+    # the worker is killed with a run claimed: this process runs that run too
+    _two_cpus(monkeypatch)
+    pools.on_claim = lambda pool: os.kill(pool.proc.pid, signal.SIGKILL)
+    args = _prototype_batch(tmp_path)
+    killed = _batch_output(monkeypatch, capsys, tmp_path / "killed", args)
+    (pool,) = pools.made
+    assert pool.proc.returncode == -signal.SIGKILL
+    assert pool.here == [0, 1, 2]
+    assert killed == _serial_output(monkeypatch, capsys, tmp_path / "serial", args)
+
+
+def test_run_worker_is_reaped_when_the_parent_raises(pools, monkeypatch, tmp_path, cond_file):
+    # the worker is stopped with a run claimed, and this process's first run
+    # raises a BaseException: closing must kill the worker, not wait for it
+    _two_cpus(monkeypatch)
+    pools.on_claim = lambda pool: os.kill(pool.proc.pid, signal.SIGSTOP)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(hefs.cli, "_single_run", interrupted)
+    args = ["--synth", "xor", "--n", "120", "--d", "8", "--pop", "6", "--iters", "4",
+            "--runs", "3", "--baseline", f"file:{cond_file}", "--out", tmp_path / "batch"]
+    raised = []
+
+    def batch():
+        try:
+            run(list(map(str, args)))
+        except BaseException as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=batch, daemon=True)
+    caller.start()
+    caller.join(30)
+    (pool,) = pools.made
+    if caller.is_alive():
+        pool.proc.kill()
+        caller.join()
+        pytest.fail("the batch waited on a stopped run worker")
+    assert [type(exc) for exc in raised] == [KeyboardInterrupt]
+    assert pool.proc.returncode == -signal.SIGKILL
+    assert not pool._thread.is_alive()
+    assert not hefs.ga._second_cpu_taken
+    assert not (tmp_path / "batch").exists()
+
+
+def test_run_worker_batch_builds_no_vote_worker(monkeypatch, tmp_path, cond_file):
+    # with both CPUs taken by the batch, no search builds a vote worker, even
+    # one that would start at its first pass; a single run still builds one
+    _two_cpus(monkeypatch)
+    built = []
+
+    class Recorded(hefs.ga._VoteWorker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(hefs.ga, "_VoteWorker", Recorded)
+    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
+    args = ["--synth", "xor", "--n", "120", "--d", "8", "--pop", "6", "--iters", "4",
+            "--baseline", f"file:{cond_file}"]
+    assert run_cli(args + ["--runs", "3", "--out", tmp_path / "batch"]) == 0
+    assert built == []
+    assert not hefs.ga._second_cpu_taken
+    assert run_cli(args + ["--out", tmp_path / "single.json"]) == 0
+    assert len(built) == 1
+
+
+def test_run_worker_single_run_starts_no_process(monkeypatch, tmp_path, cond_file):
+    _two_cpus(monkeypatch)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a single run started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", math.inf)
+    args = SMALL_SYNTH + ["--baseline", f"file:{cond_file}", "--out", tmp_path / "r.json"]
+    assert run_cli(args) == 0
 
 
 # --- golden report ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -46,12 +47,14 @@ from hefs.cli import report_canonical_bytes, run
 from hefs.metrics import equal_width_bins
 from hefs.moo import FitnessPair
 from conftest import (
+    MULTI_CPU,
     force_tile_rows,
     make_dataset,
     mi_oracle,
     pass_rows,
     record_votes,
     tie_heavy_datasets,
+    write_prototype_csv,
 )
 
 
@@ -728,8 +731,6 @@ def test_run_fold_assignment_is_stable_per_seed(perfect_ds):
 # Under a one-CPU affinity mask (CI runs these tests under `taskset -c 0` too)
 # no search starts a worker, and each test checks the serial branch instead.
 
-# as in hefs.ga, a platform without os.sched_getaffinity counts as one CPU
-MULTI_CPU = len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -794,17 +795,6 @@ def _split_and_serial(workers, monkeypatch, tmp_path, args):
     return split, serial
 
 
-def _write_prototype_csv(path, rng, n, d, n_prototypes):
-    """Small-integer rows, each a copy of one of n_prototypes prototypes,
-    three string classes: duplicate rows and exact distance ties everywhere."""
-    protos = rng.integers(0, 4, size=(n_prototypes, d))
-    proto_class = np.arange(n_prototypes) % 3
-    which = rng.permutation(np.arange(n) % n_prototypes)
-    lines = [",".join([f"c{j}" for j in range(d)] + ["kind"])]
-    lines += [",".join(map(str, protos[i])) + f",{'abc'[proto_class[i]]}" for i in which]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def test_vote_worker_split_passes_equal_serial_on_xor_parity(workers, monkeypatch, tmp_path):
     (tmp_path / "cond.txt").write_text("f0\n")
     args = ["--synth", "xor", "--n", "200", "--d", "12", "--pop", "10", "--iters", "12",
@@ -818,7 +808,7 @@ def test_vote_worker_split_passes_equal_serial_on_tied_duplicate_rows(
 ):
     # 3 classes of duplicated integer rows, the loop on their leader clusters
     path = tmp_path / "protos.csv"
-    _write_prototype_csv(path, np.random.default_rng(0), 300, 12, 45)
+    write_prototype_csv(path, np.random.default_rng(0), 300, 12, 45)
     args = ["--dataset", path, "--label-col", "kind", "--baseline", "mi", "--cond-size", "3",
             "--cluster-reduce", "--delta", "0.5", "--pop", "8", "--iters", "8", "--seed", "1"]
     split, serial = _split_and_serial(workers, monkeypatch, tmp_path, args)
@@ -893,7 +883,8 @@ def test_vote_worker_without_an_interpreter_path_stays_serial(monkeypatch, tmp_p
 def test_vote_worker_short_searches_start_no_process(monkeypatch, tmp_path):
     # searches like the benchmark's spambase_shape and cli_batch ones vote
     # for less than the default _PARALLEL_AFTER_S, so none of them pays for
-    # a worker's start
+    # a vote worker's start; a batch starts its run worker and nothing else
+    real_popen = subprocess.Popen
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(subprocess, "Popen", _no_process)
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
@@ -904,11 +895,20 @@ def test_vote_worker_short_searches_start_no_process(monkeypatch, tmp_path):
     workloads.write_spambase_shape(spam, np.random.default_rng(0), 500, 57)
     _canonical(["--dataset", spam, "--label-col", "spam", "--baseline", "mi", "--cond-size", "20",
                 "--pop", "4", "--iters", "2", "--seed", "0"], tmp_path / "spam.json")
+    programs = []
+
+    def recording_popen(argv, *args, **kwargs):
+        programs.append(argv[-1])
+        return real_popen(argv, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
     protos = tmp_path / "protos.csv"
-    _write_prototype_csv(protos, np.random.default_rng(1), 300, 12, 45)
+    write_prototype_csv(protos, np.random.default_rng(1), 300, 12, 45)
     args = ["--dataset", protos, "--label-col", "kind", "--baseline", "mi", "--cond-size", "3",
             "--cluster-reduce", "--runs", "2", "--pop", "8", "--iters", "8", "--seed", "0"]
     assert run([*map(str, args), "--out", str(tmp_path / "batch")]) == 0
+    assert len(programs) == 1
+    assert "_run_worker" in programs[0] and "_vote_worker" not in programs[0]
 
 
 def test_vote_worker_imports_the_parents_hefs(tmp_path):
@@ -918,7 +918,9 @@ def test_vote_worker_imports_the_parents_hefs(tmp_path):
     decoy.mkdir()
     (decoy / "__init__.py").write_text("")
     (decoy / "ga.py").write_text("def _vote_worker():\n    print('decoy')\n")
-    source = hefs.ga._WORKER_SOURCE.format(root=hefs.ga._HEFS_ROOT)
+    source = hefs.ga._WORKER_SOURCE.format(
+        root=hefs.ga._HEFS_ROOT, module="ga", loop="_vote_worker"
+    )
     env = {**os.environ, "PYTHONPATH": str(tmp_path)}
     proc = subprocess.run(
         [sys.executable, "-c", source], cwd=tmp_path, env=env, input=b"", capture_output=True
@@ -934,7 +936,9 @@ def test_vote_worker_exits_quietly_on_end_of_input(xor_ds, sent):
         "the loop data": pickle.dumps((xor_ds, folds, 5, (0,))),
         "a cut pass": pickle.dumps((xor_ds, folds, 5, (0,))) + pickle.dumps([(1, 2)])[:-3],
     }[sent]
-    source = hefs.ga._WORKER_SOURCE.format(root=hefs.ga._HEFS_ROOT)
+    source = hefs.ga._WORKER_SOURCE.format(
+        root=hefs.ga._HEFS_ROOT, module="ga", loop="_vote_worker"
+    )
     proc = subprocess.run([sys.executable, "-c", source], input=data, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, hefs.ga._READY, b"")
 
@@ -950,6 +954,36 @@ def test_vote_worker_closed_before_it_is_ready_is_terminated(monkeypatch, xor_ds
     if MULTI_CPU:
         assert proc.returncode == -signal.SIGTERM  # not waited on through its imports
     assert not worker.ready()
+
+
+def test_vote_worker_with_a_pass_in_flight_is_reaped(monkeypatch, xor_ds, cond_f0):
+    # the parent raises between send and receive while the worker is stopped:
+    # closing must not wait for the answer the worker owes
+    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
+    folds = run_fold_assignment(xor_ds, GAConfig())
+    worker = hefs.ga._VoteWorker(xor_ds, folds, 5, cond_f0.indices)
+    worker.ready()
+    proc = worker._proc
+    assert (proc is not None) == MULTI_CPU
+    if MULTI_CPU:
+        select.select([proc.stdout], [], [], 60)
+        assert worker.ready()
+        os.kill(proc.pid, signal.SIGSTOP)
+
+    def failing_vote(helper_sets):
+        raise RuntimeError("vote failed")
+
+    with pytest.raises(RuntimeError, match="vote failed"):
+        worker.fold_acc([(1,), (2,), (3,), (4,)], failing_vote)
+    closer = threading.Thread(target=worker.close, daemon=True)
+    closer.start()
+    closer.join(10)
+    if closer.is_alive():  # the bug: close() waits on a stopped worker
+        proc.kill()
+        closer.join()
+        pytest.fail("close() blocked on a worker that owes an answer")
+    if MULTI_CPU:
+        assert proc.returncode == -signal.SIGKILL
 
 
 def test_vote_worker_is_gone_once_hefs_run_returns_or_raises(workers, monkeypatch, xor_ds, cond_f0):
