@@ -13,11 +13,10 @@ import csv
 import io
 import json
 import os
-import pickle
 import re
 import sys
 import tempfile
-import threading
+from contextlib import nullcontext
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -201,23 +200,40 @@ def _build_conditional(args: argparse.Namespace, ds: Dataset) -> ConditionalSet:
 def _execute(args: argparse.Namespace, cfg: GAConfig) -> int:
     """Load the data, run every run, and write the reports and the aggregate.
 
-    This process writes every report, `wrote` line and aggregate file in
-    seed order, so the output is the same whichever process ran a run; which
-    one does is _RunPool's choice. A run's exception is raised here when its
-    turn comes, after the earlier reports and before any later one.
+    A batch hands some of its runs to a run worker, a hefs.ga._Worker whose
+    rules decide whether it starts; this function owns which runs it gets.
+    It opens the worker first, so the worker's imports overlap loading. Then,
+    before each of its own runs, in seed order, this process takes the
+    worker's report if one has come, waiting for it if the worker holds the
+    run now due, and hands a ready and free worker the last run no one has
+    claimed. So this process runs the first run, and the worker takes runs
+    from the back, one at a time. A run whose report does not come, because
+    it raised in the worker or the worker was lost, is run here when its turn
+    comes, where it raises the same. Runs are seeded and independent, and
+    this process writes every report, `wrote` line and aggregate file in
+    seed order, so the output is a serial batch's. Within a run,
+    hefs.ga._VoteWorker owns parallel voting.
     """
-    with _RunPool(args.runs) as pool:  # first, so the worker's imports overlap loading
+    # None for a single run, which hands out nothing
+    with ga._Worker("cli", "_run_worker") if args.runs > 1 else nullcontext() as worker:
         ds, dataset_info = _load_dataset(args)
         conditional = _build_conditional(args, ds)
+        shared = (ds, dataset_info, conditional)  # _single_run's leading arguments
         configs = [replace(cfg, seed=cfg.seed + i) for i in range(args.runs)]
-        pool.feed((ds, dataset_info, conditional), configs)
 
         out = Path(args.out)
         paths = []
+        last, held = args.runs - 1, None  # the last unclaimed run, the worker's run
+        reports: dict[int, Optional[dict]] = {}  # the worker's reports by run
         for i, run_cfg in enumerate(configs):
+            if held is not None and (held == i or worker.answered()):
+                reports[held], held = worker.receive(), None
+            if i < last and worker.ready():
+                worker.send(shared, configs[last])
+                held, last = last, last - 1
             path = out if args.runs == 1 else out / f"run_seed_{run_cfg.seed}.json"
             # None: this process runs it
-            report = pool.report(i) or _single_run(ds, dataset_info, conditional, run_cfg)
+            report = reports.pop(i, None) or _single_run(*shared, run_cfg)
             write_report(report, path)
             print(f"wrote {path}")
             paths.append(path)
@@ -229,116 +245,10 @@ def _execute(args: argparse.Namespace, cfg: GAConfig) -> int:
     return 0
 
 
-class _RunPool:
-    """A batch's runs, shared with one second interpreter, the run worker.
-
-    It starts the worker as soon as it is built, for a batch of 2 runs or
-    more, where hefs.ga._may_start_worker allows one. Both processes claim
-    whole runs: this one from the front, in seed order, so it always runs
-    the first; the worker from the back, one at a time. A feeder thread
-    talks to the worker: it sends the loop data only after the ready byte,
-    so this process never stalls on a full pipe, and then hands over one
-    run at a time, each claimed when the worker is free. Runs are seeded and
-    independent, so each report is the one a serial batch writes. A run that
-    raises in the worker, or that a dead worker lost, is run here instead,
-    where it raises the same. While the worker lives it holds the second
-    CPU (hefs.ga._second_cpu_taken), so no search in either process starts
-    a vote worker. Leaving the block ends the worker by
-    hefs.ga._close_worker's rule, even on a KeyboardInterrupt. _execute
-    owns the output; hefs.ga._VoteWorker owns parallel voting within a run.
-    """
-
-    def __init__(self, n_runs: int):
-        self._cond = threading.Condition()
-        self._front, self._back = 0, n_runs - 1  # the runs no one has claimed
-        self._results: dict[int, Optional[dict]] = {}  # the worker's reports by run
-        self._owes: Optional[int] = None  # the run the worker is on
-        self._ready = self._closing = False
-        self._proc = self._thread = None
-        if n_runs >= 2 and ga._may_start_worker():
-            try:
-                self._proc = ga._start_worker("cli", "_run_worker")
-            except OSError:
-                return
-            ga._second_cpu_taken = True
-
-    def __enter__(self) -> "_RunPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def feed(self, shared: tuple, configs: Sequence[GAConfig]) -> None:
-        """Start handing runs to the worker: shared holds _single_run's
-        leading arguments, and configs[i] is run i's config."""
-        if self._proc is not None:
-            args = (self._proc, shared, configs)
-            self._thread = threading.Thread(target=self._feed, args=args, daemon=True)
-            self._thread.start()
-
-    def _feed(self, proc, shared: tuple, configs: Sequence[GAConfig]) -> None:
-        try:
-            ga._read_ready(proc)
-            with self._cond:
-                self._ready = True
-            sent = False
-            while (i := self._claim()) is not None:
-                if not sent:
-                    pickle.dump(shared, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-                    sent = True
-                pickle.dump(configs[i], proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-                proc.stdin.flush()
-                report = pickle.load(proc.stdout)
-                with self._cond:
-                    self._results[i], self._owes = report, None
-                    self._cond.notify_all()
-        except (EOFError, OSError, pickle.PickleError):  # the worker is lost, never a run
-            proc.kill()
-        finally:
-            with self._cond:
-                if self._owes is not None:
-                    self._results[self._owes], self._owes = None, None
-                self._cond.notify_all()
-
-    def _claim(self) -> Optional[int]:
-        """The last run no one has claimed, now the worker's; None if none
-        is left or the pool is closing."""
-        with self._cond:
-            if self._closing or self._back < self._front:
-                return None
-            self._owes, self._back = self._back, self._back - 1
-            return self._owes
-
-    def report(self, i: int) -> Optional[dict]:
-        """Run i's report from the worker, waiting for it; None where this
-        process is to run it: a run no one had claimed (it is claimed here
-        now), or one the worker did not finish. Asked in seed order."""
-        with self._cond:
-            if i <= self._back:
-                self._front = i + 1
-                return None
-            while i not in self._results:
-                self._cond.wait()
-            return self._results.pop(i)
-
-    def close(self) -> None:
-        """Stop handing out runs and end the worker, joining the feeder."""
-        with self._cond:
-            self._closing = True
-            proc, ready, owes = self._proc, self._ready, self._owes is not None
-            self._proc = None
-        if proc is not None:
-            try:
-                ga._close_worker(proc, ready, owes, self._thread)
-            finally:
-                ga._second_cpu_taken = False
-
-
 def _run_worker() -> None:
-    """The run worker's loop (see _RunPool): its data is _single_run's
+    """The run worker's loop (see _execute): its data is _single_run's
     leading arguments, and it answers each config with that run's report,
     or None where the run raised."""
-    ga._second_cpu_taken = True  # the parent holds the other CPU
     ga._serve(_worker_run)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import select
 import sys
 import time
 from dataclasses import dataclass
@@ -233,63 +234,138 @@ _WORKER_SOURCE = (
 _HEFS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the one byte a worker process writes once it has imported hefs
 _READY = b"\x01"
-# True while a run worker holds this process's second CPU: in a batch's
-# parent while its hefs.cli._RunPool lives, and for good in the run worker
-# itself. hefs_run then builds no _VoteWorker, because both CPUs are taken
-_second_cpu_taken = False
 
 
-def _may_start_worker() -> bool:
-    """The start rule of both kinds of worker process, a search's _VoteWorker
-    and a batch's hefs.cli._RunPool: this process may run on 2 CPUs or more,
-    and Python knows its interpreter's path."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return bool(sys.executable) and affinity is not None and len(affinity(0)) >= 2
+class _Worker:
+    """A handle on one worker process: a second interpreter that runs the
+    loop hefs.<module>.<loop>() (see _serve) on two pipes. It owns every
+    rule about the process; what to hand it is its user's choice, a search's
+    _VoteWorker or a batch's hefs.cli._execute.
 
+    Start: the process starts only where this process may run on 2 CPUs or
+    more (os.sched_getaffinity), Python knows its interpreter's path, and
+    the second CPU is free: no handle here has an open worker, and this
+    process is not itself a worker. So there is never more than one worker.
 
-def _start_worker(module: str, loop: str):
-    """A worker process running hefs.<module>.<loop>() on two pipes."""
-    import subprocess
+    Protocol: ready awaits the ready byte without blocking. send hands over
+    an item, with the loop data sent once, before the first. Each item gets
+    one answer: answered tells without blocking whether it has come, and
+    receive reads it.
 
-    source = _WORKER_SOURCE.format(root=_HEFS_ROOT, module=module, loop=loop)
-    return subprocess.Popen(
-        [sys.executable, "-c", source], stdin=subprocess.PIPE, stdout=subprocess.PIPE
-    )
+    Close: a worker that owes an answer is killed, since it may be stopped
+    or far from done; one that is not ready yet is terminated, so no one
+    waits out its imports. Then both pipes close, so an idle worker exits on
+    the end of its input, and the process is reaped. Any fault closes the
+    handle. A closed handle is never ready, ignores what it is sent, and
+    answers None.
+    """
 
+    # False while a handle in this process has an open worker, and for good
+    # in a worker process (_serve)
+    _cpu_free = True
 
-def _read_ready(proc) -> None:
-    """Read a worker's ready byte, waiting for it; EOFError if the worker
-    exited first."""
-    if proc.stdout.read(1) != _READY:
-        raise EOFError("the worker exited before it was ready")
+    def __init__(self, module: str, loop: str):
+        self._proc = None
+        self._ready = self._owes = self._data_sent = False
+        affinity = getattr(os, "sched_getaffinity", lambda pid: ())
+        if not (_Worker._cpu_free and sys.executable and len(affinity(0)) >= 2):
+            return
+        import subprocess
 
-
-def _close_worker(proc, ready: bool, owes: bool, thread=None) -> None:
-    """The close rule of both kinds of worker process. One that owes an
-    answer is killed: it may be stopped, or far from done. One that is not
-    ready yet is terminated, so no one waits out its imports. Then thread,
-    the parent's thread that talks to the worker, if any, is joined. Last,
-    both pipes close, so an idle worker exits on the end of its input, and
-    the process is reaped."""
-    if owes:
-        proc.kill()
-    elif not ready:
-        proc.terminate()
-    if thread is not None:
-        thread.join()
-    for pipe in (proc.stdin, proc.stdout):
+        source = _WORKER_SOURCE.format(root=_HEFS_ROOT, module=module, loop=loop)
         try:
-            pipe.close()
-        except OSError:  # a broken pipe's unsent bytes
-            pass
-    proc.wait()
+            self._proc = subprocess.Popen(
+                [sys.executable, "-c", source], stdin=subprocess.PIPE, stdout=subprocess.PIPE
+            )
+        except OSError:
+            return
+        _Worker._cpu_free = False
+
+    def __enter__(self) -> "_Worker":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _readable(self) -> bool:
+        return bool(select.select([self._proc.stdout], [], [], 0)[0])
+
+    def ready(self) -> bool:
+        """Whether the worker can take an item now: its ready byte has
+        arrived and it owes no answer. Never waits."""
+        if self._proc is None or self._owes:
+            return False
+        if not self._ready:
+            try:
+                if not self._readable():
+                    return False
+                if self._proc.stdout.read(1) != _READY:
+                    raise EOFError("the worker exited before it was ready")
+            except (EOFError, OSError):
+                self.close()
+                return False
+            self._ready = True
+        return True
+
+    def send(self, data, item) -> None:
+        """Hand the ready worker an item; data, its loop data, goes first
+        the first time."""
+        if self._proc is None:
+            return
+        self._owes = True
+        try:
+            if not self._data_sent:
+                pickle.dump(data, self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+                self._data_sent = True
+            pickle.dump(item, self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            self._proc.stdin.flush()
+        except OSError:
+            self.close()
+
+    def answered(self) -> bool:
+        """Whether receive can read the answer to the last item at once."""
+        return self._owes and self._readable()
+
+    def receive(self):
+        """The answer to the last item, waiting for it; None if the handle is
+        closed or the worker is lost."""
+        if not self._owes:
+            return None
+        try:
+            answer = pickle.load(self._proc.stdout)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            self.close()
+            return None
+        self._owes = False
+        return answer
+
+    def close(self) -> None:
+        """End the worker by the close rule; the handle stays closed."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            if self._owes:
+                proc.kill()
+            elif not self._ready:
+                proc.terminate()
+            for pipe in (proc.stdin, proc.stdout):
+                try:
+                    pipe.close()
+                except OSError:  # a broken pipe's unsent bytes
+                    pass
+            proc.wait()
+        finally:
+            self._owes = False
+            _Worker._cpu_free = True
 
 
 def _serve(answer) -> None:
-    """A worker process's loop, on its standard input and output: write the
-    ready byte, read the loop data, then answer each item it reads with
-    answer(data, item) and write the answer back. An end of input at any
-    point, or a closed output, ends it quietly."""
+    """A worker process's loop, on its standard input and output: mark this
+    process as a worker, write the ready byte, read the loop data, then
+    answer each item it reads with answer(data, item) and write the answer
+    back. An end of input at any point, or a closed output, ends it quietly."""
+    _Worker._cpu_free = False
     source, sink = sys.stdin.buffer, sys.stdout.buffer
     try:
         sink.write(_READY)
@@ -310,40 +386,37 @@ def _vote_worker() -> None:
 
 
 class _VoteWorker:
-    """A second interpreter that votes the second half of a search's passes.
+    """A search's policy for voting its passes in two processes; the
+    process itself is a _Worker, whose rules decide whether it starts.
 
-    It owns every choice about voting in two processes. It times the passes
-    it votes alone, and once they have taken _PARALLEL_AFTER_S it starts the
-    process, where _may_start_worker allows one; otherwise it stays serial.
-    It never waits for the start: passes stay serial until the ready byte has
-    arrived, and only then is its copy of the loop data sent, so the data
-    cannot fill the pipe and stall the start. From then on each pass of two
-    or more sets sends its second half to the process and votes the first
+    It times the passes it votes alone, and once they have taken
+    _PARALLEL_AFTER_S it opens its _Worker. It never waits for the start:
+    passes stay serial until the worker is ready. From then on each pass of
+    two or more sets sends its second half to the worker and votes the first
     half here meanwhile. A set's votes do not depend on the other sets in its
-    pass, so no vote changes with the split. If the process dies or a pipe
-    breaks, the worker closes and stays closed, and every later half is voted
-    here. hefs_run owns one per search and closes it by _close_worker's rule.
-    It builds none while a batch's run worker holds the second CPU: which
-    process runs a whole run is hefs.cli._RunPool's choice.
+    pass, so no vote changes with the split. A half the worker does not
+    answer is voted here, and so is every later pass once the handle has
+    closed. hefs_run builds one per search and closes it. In a batch, the
+    run worker holds the second CPU, so no vote worker starts; which process
+    runs a whole run is hefs.cli._execute's choice.
     """
 
     def __init__(self, ds: Dataset, folds: FoldAssignment, k: int, base: Sequence[int]):
-        # None once closed, and from the start where no process may start
-        self._loop = (ds, folds, k, tuple(base)) if _may_start_worker() else None
-        self._proc = None
-        self._ready = False
-        self._owes = False  # a half pass is sent and its answer not read
+        self._loop = (ds, folds, k, tuple(base))
+        self._worker: Optional[_Worker] = None  # opened after _PARALLEL_AFTER_S
         self._vote_s = 0.0  # time spent voting alone so far
 
     def fold_acc(self, helper_sets: Sequence[Sequence[int]], vote) -> np.ndarray:
         """Per-fold accuracies of each helper set, (sets, n_folds), as
         vote(helper_sets) gives them: the worker votes the second half of the
         pass when it is ready, and vote the rest."""
-        if len(helper_sets) >= 2 and self.ready():
+        if self._worker is None and self._vote_s >= _PARALLEL_AFTER_S:
+            self._worker = _Worker("ga", "_vote_worker")
+        if len(helper_sets) >= 2 and self._worker is not None and self._worker.ready():
             half = (len(helper_sets) + 1) // 2
-            sent = self.send(helper_sets[half:])
+            self._worker.send(self._loop, helper_sets[half:])
             first = vote(helper_sets[:half])
-            second = self.receive() if sent else None
+            second = self._worker.receive()
             if second is None:
                 second = vote(helper_sets[half:])
             return np.concatenate([first, second])
@@ -352,58 +425,9 @@ class _VoteWorker:
         self._vote_s += time.perf_counter() - started
         return fold_acc
 
-    def ready(self) -> bool:
-        """Whether the worker can take a pass now, starting the process the
-        first time it is needed. Never waits: until the ready byte has
-        arrived, the answer is no."""
-        if self._ready or self._loop is None:
-            return self._ready
-        if self._proc is None and self._vote_s < _PARALLEL_AFTER_S:
-            return False
-        import select
-
-        try:
-            if self._proc is None:
-                self._proc = _start_worker("ga", "_vote_worker")
-            if not select.select([self._proc.stdout], [], [], 0)[0]:
-                return False
-            _read_ready(self._proc)
-            pickle.dump(self._loop, self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-            self._proc.stdin.flush()
-        except (EOFError, OSError):
-            self.close()
-            return False
-        self._ready = True
-        return True
-
-    def send(self, extra_sets: Sequence[Sequence[int]]) -> bool:
-        """Hand the worker a pass's extra sets; False if it is gone."""
-        self._owes = True
-        try:
-            pickle.dump(extra_sets, self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-            self._proc.stdin.flush()
-        except OSError:
-            self.close()
-            return False
-        return True
-
-    def receive(self) -> Optional[np.ndarray]:
-        """The per-fold accuracies of the sets last sent; None if the worker
-        is gone."""
-        try:
-            fold_acc = pickle.load(self._proc.stdout)
-        except (EOFError, OSError, pickle.UnpicklingError):
-            self.close()
-            return None
-        self._owes = False
-        return fold_acc
-
     def close(self) -> None:
-        """End the process by _close_worker's rule."""
-        proc, ready, owes = self._proc, self._ready, self._owes
-        self._loop, self._proc, self._ready, self._owes = None, None, False, False
-        if proc is not None:
-            _close_worker(proc, ready, owes)
+        if self._worker is not None:
+            self._worker.close()
 
 
 class FitnessEvaluator:
@@ -632,8 +656,7 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
 
     A long search votes part of its passes in a second process, with the
     same result byte for byte; the run's _VoteWorker says when and how, and
-    it is gone when this function returns or raises. There is none while a
-    batch's run worker holds the second CPU (_second_cpu_taken).
+    its process is gone when this function returns or raises.
     """
     started = time.perf_counter()
     residual = residual_feature_indices(ds.d, conditional)
@@ -657,8 +680,7 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
 
     rng = np.random.default_rng(ga_ss)
     evaluator = FitnessEvaluator(ds_loop, conditional, folds_loop, cfg)
-    if not _second_cpu_taken:
-        evaluator._worker = _VoteWorker(ds_loop, folds_loop, cfg.knn_k, conditional.indices)
+    evaluator._worker = _VoteWorker(ds_loop, folds_loop, cfg.knn_k, conditional.indices)
     try:
         population = selective_activation_init(len(residual), cfg, rng)
         evaluator.evaluate_population(population)
@@ -685,8 +707,7 @@ def hefs_run(ds: Dataset, conditional: ConditionalSet, cfg: GAConfig) -> HelperR
             population = offspring
             trace.append(_trace_record(generation, archive))
     finally:
-        if evaluator._worker is not None:
-            evaluator._worker.close()
+        evaluator._worker.close()
 
     if cfg.use_cluster_reduction:
         best_ind, best_acc = best_helper_set(archive, conditional, ds, folds_full, cfg)

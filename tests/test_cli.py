@@ -3,11 +3,11 @@ import json
 import math
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
 import threading
-import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -488,34 +488,52 @@ def test_aggregate_rejects_mixed_versions_and_empty(tmp_path):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Record every run pool _execute builds. Before this process claims
-    its first run it waits (at most 60 s) for the worker to claim one, so
-    the worker runs at least one run wherever it starts. on_claim(pool), if
-    set, is then called with the worker on that run. Returns the class,
-    whose `made` lists the pools; each records the runs this process ran
-    (`here`) and those whose report came from the worker (`sent`)."""
+    """Record every run worker handle _execute opens, and the runs of its
+    batch. A handle asked whether it is ready waits (at most 60 s) for the
+    ready byte, so the worker takes the batch's last run before this process
+    runs its first; with `late` set, the first answer is no instead.
+    on_claim(handle), if set, is called each time the worker has been handed
+    a run. Returns the class, whose `made` lists the handles; each records
+    the seeds of the runs this process ran (`here`) and of those whose
+    report came from the worker (`sent`)."""
 
-    class Spy(hefs.cli._RunPool):
+    class Spy(hefs.ga._Worker):
         made = []
         on_claim = None
+        late = False
 
-        def __init__(self, n_runs):
-            super().__init__(n_runs)
-            self.proc, self.here, self.sent = self._proc, [], []
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.proc, self.here, self.sent, self.asked = self._proc, [], [], False
             self.made.append(self)
 
-        def report(self, i):
-            if i == 0 and self.proc is not None:
-                deadline = time.monotonic() + 60
-                while self._owes is None and not self._results and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                if Spy.on_claim is not None:
-                    Spy.on_claim(self)
-            report = super().report(i)
-            (self.here if report is None else self.sent).append(i)
+        def ready(self):
+            if Spy.late and not self.asked:
+                self.asked = True
+                return False
+            if self._proc is not None and not self._ready:
+                select.select([self._proc.stdout], [], [], 60)
+            return super().ready()
+
+        def send(self, data, item):
+            super().send(data, item)
+            if Spy.on_claim is not None:
+                Spy.on_claim(self)
+
+        def receive(self):
+            report = super().receive()
+            if report is not None:
+                self.sent.append(report["config"]["seed"])
             return report
 
-    monkeypatch.setattr(hefs.cli, "_RunPool", Spy)
+    single_run = hefs.cli._single_run
+
+    def recorded_run(*args):
+        Spy.made[-1].here.append(args[-1].seed)
+        return single_run(*args)
+
+    monkeypatch.setattr(hefs.ga, "_Worker", Spy)
+    monkeypatch.setattr(hefs.cli, "_single_run", recorded_run)
     return Spy
 
 
@@ -563,23 +581,18 @@ def test_run_worker_batch_equals_serial(pools, monkeypatch, capsys, tmp_path, co
         "many tiny runs": xor + ["--n", "40", "--d", "6", "--pop", "4", "--iters", "1",
                                  "--runs", "12"],
     }[data]
-    n_runs = int(args[args.index("--runs") + 1])
-    switch = sys.getswitchinterval()
-    if data == "many tiny runs":  # the two threads trade the claims as often as they can
-        sys.setswitchinterval(1e-6)
-    try:
-        parallel = _batch_output(monkeypatch, capsys, tmp_path / "parallel", args)
-    finally:
-        sys.setswitchinterval(switch)
+    first, n_runs = (int(args[args.index(flag) + 1]) for flag in ("--seed", "--runs"))
+    seeds = list(range(first, first + n_runs))
+    parallel = _batch_output(monkeypatch, capsys, tmp_path / "parallel", args)
     (pool,) = pools.made
     assert (pool.proc is not None) == MULTI_CPU
-    assert pool.here[0] == 0  # this process always runs the first run
-    assert sorted(pool.here + pool.sent) == list(range(n_runs))  # each run once
+    assert pool.here[0] == first  # this process always runs the first run
+    assert sorted(pool.here + pool.sent) == seeds  # each run once
     if MULTI_CPU:
-        assert pool.sent  # the worker ran at least one run
+        assert pool.sent[0] == seeds[-1]  # the worker took the last run first
         assert pool.proc.returncode == 0
     else:
-        assert pool.here == list(range(n_runs))
+        assert pool.here == seeds
     serial = _serial_output(monkeypatch, capsys, tmp_path / "serial", args)
     assert pools.made[1].proc is None
     assert parallel[0] == 0 and len(parallel[3]) == n_runs + 2
@@ -617,8 +630,22 @@ def test_run_worker_killed_mid_run_leaves_the_reports_unchanged(
     killed = _batch_output(monkeypatch, capsys, tmp_path / "killed", args)
     (pool,) = pools.made
     assert pool.proc.returncode == -signal.SIGKILL
-    assert pool.here == [0, 1, 2]
+    assert pool.here == [4, 5, 6] and pool.sent == []
     assert killed == _serial_output(monkeypatch, capsys, tmp_path / "serial", args)
+
+
+def test_run_worker_ready_late_takes_a_later_run(pools, monkeypatch, capsys, tmp_path, cond_file):
+    # a worker that is not ready before the first run is handed the last run
+    # before this process's second
+    _two_cpus(monkeypatch)
+    pools.late = True
+    args = ["--synth", "xor", "--n", "200", "--d", "12", "--pop", "10", "--iters", "12",
+            "--seed", "3", "--runs", "4", "--baseline", f"file:{cond_file}"]
+    late = _batch_output(monkeypatch, capsys, tmp_path / "late", args)
+    (pool,) = pools.made
+    assert pool.here == [3, 4, 5] and pool.sent == [6]
+    assert pool.proc.returncode == 0
+    assert late == _serial_output(monkeypatch, capsys, tmp_path / "serial", args)
 
 
 def test_run_worker_is_reaped_when_the_parent_raises(pools, monkeypatch, tmp_path, cond_file):
@@ -651,31 +678,33 @@ def test_run_worker_is_reaped_when_the_parent_raises(pools, monkeypatch, tmp_pat
         pytest.fail("the batch waited on a stopped run worker")
     assert [type(exc) for exc in raised] == [KeyboardInterrupt]
     assert pool.proc.returncode == -signal.SIGKILL
-    assert not pool._thread.is_alive()
-    assert not hefs.ga._second_cpu_taken
+    assert hefs.ga._Worker._cpu_free
     assert not (tmp_path / "batch").exists()
 
 
 def test_run_worker_batch_builds_no_vote_worker(monkeypatch, tmp_path, cond_file):
-    # with both CPUs taken by the batch, no search builds a vote worker, even
-    # one that would start at its first pass; a single run still builds one
+    # with the second CPU taken by the batch's run worker, no search starts a
+    # vote worker, even one that would start at its first pass; a single run
+    # afterwards still starts one
     _two_cpus(monkeypatch)
-    built = []
+    started = []
 
-    class Recorded(hefs.ga._VoteWorker):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+    class Recorded(hefs.ga._Worker):
+        def __init__(self, module, loop):
+            super().__init__(module, loop)
+            started.append((loop, self._proc is not None))
 
-    monkeypatch.setattr(hefs.ga, "_VoteWorker", Recorded)
+    monkeypatch.setattr(hefs.ga, "_Worker", Recorded)
     monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
     args = ["--synth", "xor", "--n", "120", "--d", "8", "--pop", "6", "--iters", "4",
             "--baseline", f"file:{cond_file}"]
     assert run_cli(args + ["--runs", "3", "--out", tmp_path / "batch"]) == 0
-    assert built == []
-    assert not hefs.ga._second_cpu_taken
+    assert started[0] == ("_run_worker", True)
+    assert ("_vote_worker", False) in started and ("_vote_worker", True) not in started
+    assert hefs.ga._Worker._cpu_free
+    del started[:]
     assert run_cli(args + ["--out", tmp_path / "single.json"]) == 0
-    assert len(built) == 1
+    assert started == [("_vote_worker", True)]
 
 
 def test_run_worker_single_run_starts_no_process(monkeypatch, tmp_path, cond_file):

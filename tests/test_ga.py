@@ -736,43 +736,40 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Record every vote worker hefs_run makes. Each starts at its search's
-    first pass and is waited for once, so every later pass of two or more
-    sets is split. With kill_at set, the process is killed once it holds
-    that pass's sets: stopped before they are sent, so it cannot answer.
-    Returns the class, whose `made` lists them."""
+    """Record every worker handle a search opens. Each opens at its search's
+    first pass and waits once for the ready byte, so every later pass of two
+    or more sets is split. With kill_at set, the process is killed once it
+    holds that pass's sets: stopped before they are sent, so it cannot
+    answer. Returns the class, whose `made` lists the handles; each records
+    its process (`proc`) and the answers it gave (`passes`)."""
 
-    class Spy(hefs.ga._VoteWorker):
+    class Spy(hefs.ga._Worker):
         made = []
         kill_at = None
 
         def __init__(self, *args):
             super().__init__(*args)
-            self.passes, self.proc = 0, None
+            self.passes, self.proc = 0, self._proc
             self.made.append(self)
 
         def ready(self):
-            ready = super().ready()
-            if self._proc is not None and self.proc is None:
-                self.proc = self._proc
-                select.select([self.proc.stdout], [], [], 60)
-                ready = super().ready()
-            return ready
+            if self._proc is not None and not self._ready:
+                select.select([self._proc.stdout], [], [], 60)
+            return super().ready()
 
-        def send(self, extra_sets):
+        def send(self, data, item):
             if self.passes != self.kill_at:
-                return super().send(extra_sets)
+                return super().send(data, item)
             os.kill(self.proc.pid, signal.SIGSTOP)
-            sent = super().send(extra_sets)
+            super().send(data, item)
             os.kill(self.proc.pid, signal.SIGKILL)
-            return sent
 
         def receive(self):
-            fold_acc = super().receive()
-            self.passes += fold_acc is not None
-            return fold_acc
+            answer = super().receive()
+            self.passes += answer is not None
+            return answer
 
-    monkeypatch.setattr(hefs.ga, "_VoteWorker", Spy)
+    monkeypatch.setattr(hefs.ga, "_Worker", Spy)
     monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
     return Spy
 
@@ -943,10 +940,23 @@ def test_vote_worker_exits_quietly_on_end_of_input(xor_ds, sent):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, hefs.ga._READY, b"")
 
 
-def test_vote_worker_closed_before_it_is_ready_is_terminated(monkeypatch, xor_ds, cond_f0):
-    monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
-    folds = run_fold_assignment(xor_ds, GAConfig())
-    worker = hefs.ga._VoteWorker(xor_ds, folds, 5, cond_f0.indices)
+def test_vote_worker_starts_no_process_inside_a_worker():
+    # a worker process holds the other CPU, so a handle opened there, as a
+    # search in a batch's run worker opens one, starts no process
+    program = (
+        f"import os, sys; sys.path.insert(0, {hefs.ga._HEFS_ROOT!r}); import hefs.ga as ga; "
+        "os.sched_getaffinity = lambda pid: {0, 1}; "
+        "ga._serve(lambda data, item: ga._Worker('ga', '_vote_worker')._proc is None)"
+    )
+    sent = pickle.dumps(None) + pickle.dumps("a pass")
+    proc = subprocess.run([sys.executable, "-c", program], input=sent, capture_output=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout[:1], proc.stderr) == (0, hefs.ga._READY, b"")
+    assert pickle.loads(proc.stdout[1:]) is True
+
+
+def test_vote_worker_closed_before_it_is_ready_is_terminated():
+    worker = hefs.ga._Worker("ga", "_vote_worker")
     assert not worker.ready()  # started, but its imports take far longer than this call
     proc = worker._proc
     assert (proc is not None) == MULTI_CPU
@@ -954,6 +964,7 @@ def test_vote_worker_closed_before_it_is_ready_is_terminated(monkeypatch, xor_ds
     if MULTI_CPU:
         assert proc.returncode == -signal.SIGTERM  # not waited on through its imports
     assert not worker.ready()
+    assert hefs.ga._Worker._cpu_free
 
 
 def test_vote_worker_with_a_pass_in_flight_is_reaped(monkeypatch, xor_ds, cond_f0):
@@ -962,12 +973,17 @@ def test_vote_worker_with_a_pass_in_flight_is_reaped(monkeypatch, xor_ds, cond_f
     monkeypatch.setattr(hefs.ga, "_PARALLEL_AFTER_S", 0.0)
     folds = run_fold_assignment(xor_ds, GAConfig())
     worker = hefs.ga._VoteWorker(xor_ds, folds, 5, cond_f0.indices)
-    worker.ready()
-    proc = worker._proc
+
+    def zeros(helper_sets):
+        return np.zeros((len(helper_sets), folds.n_folds))
+
+    worker.fold_acc([(1,)], zeros)  # opens the worker
+    proc = worker._worker._proc
     assert (proc is not None) == MULTI_CPU
     if MULTI_CPU:
         select.select([proc.stdout], [], [], 60)
-        assert worker.ready()
+        worker.fold_acc([(1,), (2,)], zeros)  # a split pass, which sends the loop data
+        assert worker._worker.ready()
         os.kill(proc.pid, signal.SIGSTOP)
 
     def failing_vote(helper_sets):
@@ -984,6 +1000,32 @@ def test_vote_worker_with_a_pass_in_flight_is_reaped(monkeypatch, xor_ds, cond_f
         pytest.fail("close() blocked on a worker that owes an answer")
     if MULTI_CPU:
         assert proc.returncode == -signal.SIGKILL
+
+
+@pytest.mark.parametrize("how", ["never started", "closed", "lost"])
+def test_vote_worker_closed_handle_answers_none(monkeypatch, xor_ds, how):
+    # a handle closed by its owner, or by the fault of losing its process,
+    # is never ready again and answers None; one that never started is alike
+    if how == "never started":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    worker = hefs.ga._Worker("ga", "_vote_worker")
+    proc = worker._proc
+    assert (proc is None) == (how == "never started" or not MULTI_CPU)
+    loop = (xor_ds, run_fold_assignment(xor_ds, GAConfig()), 5, (0,))
+    if how == "closed":
+        worker.close()
+    elif how == "lost" and proc is not None:
+        select.select([proc.stdout], [], [], 60)
+        assert worker.ready()
+        proc.kill()
+        proc.wait()
+        worker.send(loop, [(1,), (2,)])  # the data may still fit the pipe
+        assert worker.receive() is None
+    assert worker._proc is None and hefs.ga._Worker._cpu_free
+    assert not worker.ready()
+    worker.send(loop, [(1,), (2,)])
+    assert not worker.answered()
+    assert worker.receive() is None
 
 
 def test_vote_worker_is_gone_once_hefs_run_returns_or_raises(workers, monkeypatch, xor_ds, cond_f0):
