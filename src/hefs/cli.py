@@ -204,15 +204,20 @@ def _execute(args: argparse.Namespace, cfg: GAConfig) -> int:
     rules decide whether it starts; this function owns which runs it gets.
     It opens the worker first, so the worker's imports overlap loading. Then,
     before each of its own runs, in seed order, this process takes the
-    worker's report if one has come, waiting for it if the worker holds the
-    run now due, and hands a ready and free worker the last run no one has
-    claimed. So this process runs the first run, and the worker takes runs
-    from the back, one at a time. A run whose report does not come, because
-    it raised in the worker or the worker was lost, is run here when its turn
-    comes, where it raises the same. Runs are seeded and independent, and
-    this process writes every report, `wrote` line and aggregate file in
-    seed order, so the output is a serial batch's. Within a run,
-    hefs.ga._VoteWorker owns parallel voting.
+    worker's reports that have come, waiting for them if the worker holds
+    the run now due, and hands the worker the last runs no one has claimed
+    until it holds two; before the first run, only one. It never waits for
+    the worker to start or to be free, since the worker answers its runs in
+    turn. The second run keeps the worker busy when it ends one while this
+    process is inside another. Only one goes before the first run, because
+    the worker has yet to start: two would leave a 3-run batch waiting at
+    its end for the worker's second run. So this process runs the first run,
+    and the worker takes runs from the back. A run whose report does not
+    come, because it raised in the worker or the worker was lost, is run
+    here when its turn comes, where it raises the same. Runs are seeded and
+    independent, and this process writes every report, `wrote` line and
+    aggregate file in seed order, so the output is a serial batch's. Within
+    a run, hefs.ga._VoteWorker owns parallel voting.
     """
     # None for a single run, which hands out nothing
     with ga._Worker("cli", "_run_worker") if args.runs > 1 else nullcontext() as worker:
@@ -223,14 +228,16 @@ def _execute(args: argparse.Namespace, cfg: GAConfig) -> int:
 
         out = Path(args.out)
         paths = []
-        last, held = args.runs - 1, None  # the last unclaimed run, the worker's run
+        last = args.runs - 1  # the last unclaimed run
+        held: list[int] = []  # the worker's runs, in the order it answers them
         reports: dict[int, Optional[dict]] = {}  # the worker's reports by run
         for i, run_cfg in enumerate(configs):
-            if held is not None and (held == i or worker.answered()):
-                reports[held], held = worker.receive(), None
-            if i < last and worker.ready():
+            while held and (i in held or worker.answered()):
+                reports[held.pop(0)] = worker.receive()
+            while i < last and len(held) < min(i + 1, 2):
                 worker.send(shared, configs[last])
-                held, last = last, last - 1
+                held.append(last)
+                last -= 1
             path = out if args.runs == 1 else out / f"run_seed_{run_cfg.seed}.json"
             # None: this process runs it
             report = reports.pop(i, None) or _single_run(*shared, run_cfg)

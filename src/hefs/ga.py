@@ -234,6 +234,9 @@ _WORKER_SOURCE = (
 _HEFS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the one byte a worker process writes once it has imported hefs
 _READY = b"\x01"
+# the size asked for the pipe to a worker: 1 MB, the most an unprivileged
+# process may ask for under Linux's default /proc/sys/fs/pipe-max-size
+_PIPE_BYTES = 1 << 20
 
 
 class _Worker:
@@ -248,9 +251,12 @@ class _Worker:
     process is not itself a worker. So there is never more than one worker.
 
     Protocol: ready awaits the ready byte without blocking. send hands over
-    an item, with the loop data sent once, before the first. Each item gets
-    one answer: answered tells without blocking whether it has come, and
-    receive reads it.
+    an item, with the loop data sent once, before the first. It may come
+    before the ready byte, or while the worker owes answers; then it waits
+    only while the pipe, enlarged to _PIPE_BYTES where the OS allows, is
+    full, until the worker has started and reads it. Each item gets one
+    answer, in the order sent: answered tells without blocking whether the
+    next has come, and receive reads it.
 
     Close: a worker that owes an answer is killed, since it may be stopped
     or far from done; one that is not ready yet is terminated, so no one
@@ -266,7 +272,8 @@ class _Worker:
 
     def __init__(self, module: str, loop: str):
         self._proc = None
-        self._ready = self._owes = self._data_sent = False
+        self._ready = self._data_sent = False
+        self._owes = 0  # answers not yet received
         affinity = getattr(os, "sched_getaffinity", lambda pid: ())
         if not (_Worker._cpu_free and sys.executable and len(affinity(0)) >= 2):
             return
@@ -280,6 +287,12 @@ class _Worker:
         except OSError:
             return
         _Worker._cpu_free = False
+        try:  # Linux: room for a batch's loop data, so its first send need not wait
+            import fcntl
+
+            fcntl.fcntl(self._proc.stdin, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (ImportError, AttributeError, OSError):  # another OS, or the user's pipe quota
+            pass
 
     def __enter__(self) -> "_Worker":
         return self
@@ -290,29 +303,47 @@ class _Worker:
     def _readable(self) -> bool:
         return bool(select.select([self._proc.stdout], [], [], 0)[0])
 
+    def _read(self, n: int) -> bytes:
+        """The next n bytes of the worker's output, waiting for them. They
+        are read from the pipe with no buffer, so _readable sees every byte
+        not yet read."""
+        fd, chunks = self._proc.stdout.fileno(), []
+        while n:
+            chunk = os.read(fd, n)
+            if not chunk:
+                raise EOFError("the worker's output ended")
+            chunks.append(chunk)
+            n -= len(chunk)
+        return b"".join(chunks)
+
+    def _started(self, wait: bool) -> bool:
+        """Whether the ready byte has come, reading it the first time; it
+        waits for the byte only with wait."""
+        if not self._ready:
+            if not (wait or self._readable()):
+                return False
+            if self._read(1) != _READY:
+                raise EOFError("the worker wrote no ready byte")
+            self._ready = True
+        return True
+
     def ready(self) -> bool:
         """Whether the worker can take an item now: its ready byte has
         arrived and it owes no answer. Never waits."""
         if self._proc is None or self._owes:
             return False
-        if not self._ready:
-            try:
-                if not self._readable():
-                    return False
-                if self._proc.stdout.read(1) != _READY:
-                    raise EOFError("the worker exited before it was ready")
-            except (EOFError, OSError):
-                self.close()
-                return False
-            self._ready = True
-        return True
+        try:
+            return self._started(wait=False)
+        except (EOFError, OSError):
+            self.close()
+            return False
 
     def send(self, data, item) -> None:
-        """Hand the ready worker an item; data, its loop data, goes first
-        the first time."""
+        """Hand the worker an item; data, its loop data, goes first the first
+        time."""
         if self._proc is None:
             return
-        self._owes = True
+        self._owes += 1
         try:
             if not self._data_sent:
                 pickle.dump(data, self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
@@ -323,20 +354,25 @@ class _Worker:
             self.close()
 
     def answered(self) -> bool:
-        """Whether receive can read the answer to the last item at once."""
-        return self._owes and self._readable()
+        """Whether receive can read the next answer at once."""
+        try:
+            return bool(self._owes) and self._started(wait=False) and self._readable()
+        except (EOFError, OSError):
+            self.close()
+            return False
 
     def receive(self):
-        """The answer to the last item, waiting for it; None if the handle is
-        closed or the worker is lost."""
+        """The next answer, to the oldest item not yet answered, waiting for
+        it; None if the handle is closed or the worker is lost."""
         if not self._owes:
             return None
         try:
-            answer = pickle.load(self._proc.stdout)
+            self._started(wait=True)
+            answer = pickle.loads(self._read(int.from_bytes(self._read(8), "little")))
         except (EOFError, OSError, pickle.UnpicklingError):
             self.close()
             return None
-        self._owes = False
+        self._owes -= 1
         return answer
 
     def close(self) -> None:
@@ -356,7 +392,7 @@ class _Worker:
                     pass
             proc.wait()
         finally:
-            self._owes = False
+            self._owes = 0
             _Worker._cpu_free = True
 
 
@@ -364,7 +400,8 @@ def _serve(answer) -> None:
     """A worker process's loop, on its standard input and output: mark this
     process as a worker, write the ready byte, read the loop data, then
     answer each item it reads with answer(data, item) and write the answer
-    back. An end of input at any point, or a closed output, ends it quietly."""
+    back, after its length in 8 bytes. An end of input at any point, or a
+    closed output, ends it quietly."""
     _Worker._cpu_free = False
     source, sink = sys.stdin.buffer, sys.stdout.buffer
     try:
@@ -372,7 +409,8 @@ def _serve(answer) -> None:
         sink.flush()
         data = pickle.load(source)
         while True:
-            pickle.dump(answer(data, pickle.load(source)), sink, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = pickle.dumps(answer(data, pickle.load(source)), protocol=pickle.HIGHEST_PROTOCOL)
+            sink.write(len(blob).to_bytes(8, "little") + blob)
             sink.flush()
     except (EOFError, OSError, pickle.UnpicklingError):
         os._exit(0)  # skips the exit-time flush of a closed output

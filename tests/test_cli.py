@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import select
 import signal
 import subprocess
 import sys
@@ -489,35 +488,24 @@ def test_aggregate_rejects_mixed_versions_and_empty(tmp_path):
 @pytest.fixture
 def pools(monkeypatch):
     """Record every run worker handle _execute opens, and the runs of its
-    batch. A handle asked whether it is ready waits (at most 60 s) for the
-    ready byte, so the worker takes the batch's last run before this process
-    runs its first; with `late` set, the first answer is no instead.
-    on_claim(handle), if set, is called each time the worker has been handed
-    a run. Returns the class, whose `made` lists the handles; each records
-    the seeds of the runs this process ran (`here`) and of those whose
-    report came from the worker (`sent`)."""
+    batch. on_claim(handle), if set, is called each time a started worker
+    has been handed a run. Returns the class, whose `made` lists the
+    handles; each records the seeds of the runs this process ran (`here`)
+    and of those whose report came from the worker (`sent`)."""
 
     class Spy(hefs.ga._Worker):
         made = []
         on_claim = None
-        late = False
 
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.proc, self.here, self.sent, self.asked = self._proc, [], [], False
-            self.made.append(self)
-
-        def ready(self):
-            if Spy.late and not self.asked:
-                self.asked = True
-                return False
-            if self._proc is not None and not self._ready:
-                select.select([self._proc.stdout], [], [], 60)
-            return super().ready()
+        def __init__(self, module, loop):
+            super().__init__(module, loop)
+            self.proc, self.here, self.sent = self._proc, [], []
+            if loop == "_run_worker":  # not a search's vote worker
+                self.made.append(self)
 
         def send(self, data, item):
             super().send(data, item)
-            if Spy.on_claim is not None:
+            if Spy.on_claim is not None and self.proc is not None:
                 Spy.on_claim(self)
 
         def receive(self):
@@ -606,7 +594,7 @@ def test_run_worker_failing_run_stops_the_batch_as_a_serial_one_does(
     # clustering with --delta 0.4 leaves too few rows for 5 folds at seed 2
     # of the 60 rows and at seed 3 of the 80 rows: in (1, 2) the failing run
     # is the worker's; in (2, 4) it is this process's second run, while the
-    # worker is on seed 5
+    # worker holds seed 5 or 4
     _two_cpus(monkeypatch)
     args = ["--synth", "xor", "--n", "60" if seed == 1 else "80", "--d", "4", "--cond-size", "1",
             "--pop", "4", "--iters", "2", "--delta", "0.4", "--cluster-reduce",
@@ -634,16 +622,30 @@ def test_run_worker_killed_mid_run_leaves_the_reports_unchanged(
     assert killed == _serial_output(monkeypatch, capsys, tmp_path / "serial", args)
 
 
-def test_run_worker_ready_late_takes_a_later_run(pools, monkeypatch, capsys, tmp_path, cond_file):
-    # a worker that is not ready before the first run is handed the last run
-    # before this process's second
+@pytest.mark.parametrize(
+    "runs, n, delay", [(2, 200, 0.0), (2, 1000, 0.5), (3, 200, 0.5), (4, 200, 0.5)]
+)
+def test_run_worker_is_handed_runs_before_it_has_started(
+    pools, monkeypatch, capsys, tmp_path, cond_file, runs, n, delay
+):
+    # the worker is handed the last run before this process runs the first,
+    # and the next unclaimed one before the second, whether or not it has
+    # started or is still busy, so it takes the back half of the batch, and
+    # of 3 runs only the last. The first case starts the worker as a batch
+    # does; the others delay its start past this process's first run. With
+    # 1000 rows and the pipe left at one page, the loop data outgrows the
+    # pipe, so the first hand-off waits for the worker to read it
     _two_cpus(monkeypatch)
-    pools.late = True
-    args = ["--synth", "xor", "--n", "200", "--d", "12", "--pop", "10", "--iters", "12",
-            "--seed", "3", "--runs", "4", "--baseline", f"file:{cond_file}"]
+    if n == 1000:
+        monkeypatch.setattr(hefs.ga, "_PIPE_BYTES", 4096)
+    source = f"import time; time.sleep({delay}); " + hefs.ga._WORKER_SOURCE
+    monkeypatch.setattr(hefs.ga, "_WORKER_SOURCE", source)
+    args = ["--synth", "xor", "--n", n, "--d", "12", "--pop", "10", "--iters", "12",
+            "--seed", "3", "--runs", runs, "--baseline", f"file:{cond_file}"]
     late = _batch_output(monkeypatch, capsys, tmp_path / "late", args)
     (pool,) = pools.made
-    assert pool.here == [3, 4, 5] and pool.sent == [6]
+    seeds, mine = list(range(3, 3 + runs)), (runs + 1) // 2
+    assert pool.here == seeds[:mine] and pool.sent == seeds[:mine - 1:-1]
     assert pool.proc.returncode == 0
     assert late == _serial_output(monkeypatch, capsys, tmp_path / "serial", args)
 

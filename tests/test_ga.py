@@ -952,7 +952,7 @@ def test_vote_worker_starts_no_process_inside_a_worker():
     proc = subprocess.run([sys.executable, "-c", program], input=sent, capture_output=True,
                           timeout=60)
     assert (proc.returncode, proc.stdout[:1], proc.stderr) == (0, hefs.ga._READY, b"")
-    assert pickle.loads(proc.stdout[1:]) is True
+    assert pickle.loads(proc.stdout[9:]) is True  # after the ready byte and the length
 
 
 def test_vote_worker_closed_before_it_is_ready_is_terminated():
